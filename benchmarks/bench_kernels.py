@@ -2,8 +2,10 @@
 """Throughput comparison of the compiled and pure-Python kernels.
 
 Runs the same workloads against both backends (when the extension is
-built) and prints a table with the speedup.  Workload sizes are scaled
-down for the pure backend; rates are normalized per operation.
+built) and prints a table with the speedup.  The pure backend is the
+scalar `_native` kernel with the batched sweeps of `_batch`; its scalar
+sweep is shown on a row of its own.  Workload sizes of the scalar code are
+scaled down for the pure backend; rates are normalized per operation.
 
 Usage: python benchmarks/bench_kernels.py [--mul N] [--sweep N] [--seed S]
 """
@@ -11,9 +13,9 @@ Usage: python benchmarks/bench_kernels.py [--mul N] [--sweep N] [--seed S]
 import argparse
 import time
 
-from moufang3 import tables
-from moufang3._native import LoopKernel as PureKernel
-from moufang3._native import PolyEvaluator as PureEvaluator
+from moufang3 import _native, tables
+from moufang3._batch import LoopKernel as PureKernel
+from moufang3._batch import PolyEvaluator as PureEvaluator
 from moufang3.loop import basis, default_loop
 from moufang3.polys import Var, flatten_polys
 from moufang3.symbolic import SymbolicLoop
@@ -29,6 +31,12 @@ def timed(fn, *args):
     t0 = time.perf_counter()
     out = fn(*args)
     return out, time.perf_counter() - t0
+
+
+def sweep_rate(sweep, seed, trials):
+    (violations, _, _), dt = timed(sweep, "moufang", seed, trials)
+    assert violations == 0
+    return trials / dt
 
 
 def bench_backend(make_kernel, make_evaluator, scale, args):
@@ -61,10 +69,12 @@ def bench_backend(make_kernel, make_evaluator, scale, args):
         done += len(xs)
     rates["inverse (ops/s)"] = done / (time.perf_counter() - t0)
 
-    n_sweep = max(args.sweep // scale, 1)
-    (violations, _, _), dt = timed(kernel.sweep, "moufang", args.seed, n_sweep)
-    assert violations == 0
-    rates["moufang sweep (trials/s)"] = n_sweep / dt
+    rates["moufang sweep (trials/s)"] = sweep_rate(kernel.sweep, args.seed,
+                                                  args.sweep)
+    if isinstance(kernel, _native.LoopKernel):      # the pure backend
+        rates["scalar moufang sweep, _native (trials/s)"] = sweep_rate(
+            _native.LoopKernel(f, h).sweep, args.seed,
+            max(args.sweep // scale, 1))
 
     variety = SymbolicLoop(default_loop()).associator_variety(basis(3), basis(4))
     head = [Var("x", i) for i in range(1, 11)]
@@ -82,9 +92,10 @@ def main():
     parser.add_argument("--mul", type=int, default=200_000,
                         help="multiplication ops for the compiled backend")
     parser.add_argument("--sweep", type=int, default=200_000,
-                        help="sweep trials for the compiled backend")
+                        help="moufang sweep trials of each backend's kernel")
     parser.add_argument("--pure-scale", type=int, default=50,
-                        help="divide workloads by this for the pure backend")
+                        help="divide the scalar workloads by this for the "
+                             "pure backend")
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
@@ -95,7 +106,7 @@ def main():
     else:
         results["compiled"] = bench_backend(FastKernel, FastEvaluator, 1, args)
 
-    names = list(next(iter(results.values())))
+    names = list(results["pure"])
     width = max(len(n) for n in names)
     header = f"{'workload':<{width}}" + "".join(
         f"  {b:>14}" for b in results) + ("        speedup"
@@ -105,8 +116,9 @@ def main():
     for name in names:
         row = f"{name:<{width}}"
         for backend in results:
-            row += f"  {results[backend][name]:>14,.0f}"
-        if len(results) == 2:
+            rate = results[backend].get(name)
+            row += f"  {rate:>14,.0f}" if rate is not None else f"  {'-':>14}"
+        if len(results) == 2 and name in results["compiled"]:
             row += f"  {results['compiled'][name] / results['pure'][name]:>12.1f}x"
         print(row)
 

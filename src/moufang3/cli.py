@@ -425,7 +425,9 @@ def _env_int(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"moufang3: {name}={raw!r} is not an integer") from None
+        # a usage error, like a bad flag value: argparse's exit code
+        print(f"moufang3: {name}={raw!r} is not an integer", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

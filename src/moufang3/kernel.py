@@ -1,18 +1,19 @@
 """Backend selection: compiled extension when available, pure Python otherwise.
 
-Set MOUFANG3_PURE=1 to force the pure backend (useful for benchmarking and
-for debugging suspected kernel divergences).
+The pure backend is `_native`'s scalar kernel with the bit-sliced batched
+sweeps of `_batch`.  Set MOUFANG3_PURE=1 to force the pure backend (useful
+for benchmarking and for debugging suspected kernel divergences).
 """
 
 import os
 
 if os.environ.get("MOUFANG3_PURE"):
-    from . import _native as _impl
+    from . import _batch as _impl
 else:
     try:
         from . import _speedups as _impl  # type: ignore[attr-defined]
     except ImportError:
-        from . import _native as _impl
+        from . import _batch as _impl
 
 LoopKernel = _impl.LoopKernel
 PolyEvaluator = _impl.PolyEvaluator

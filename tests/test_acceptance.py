@@ -3,8 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass/fail lines.  Tolerances are exact unless stated: the algebraic claims
 are equalities in GF(3)^19, the sampling criterion uses 3 binomial standard
-errors, and the wall-clock guards apply to the compiled backend (the pure
-fallback computes the same answers, slower).
+errors, and the wall-clock guards apply to every backend.
 """
 
 import time
@@ -13,9 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from moufang3 import (BACKEND, InverseLawViolation, LoopLawError, SymbolicLoop,
-                      basis, brute_count_l_set, closure, count_l_set,
-                      density_sample, f_table, h_table, identity, is_closed,
+from moufang3 import (InverseLawViolation, LoopLawError, SymbolicLoop, basis,
+                      brute_count_l_set, closure, count_l_set, density_sample,
+                      f_table, h_table, identity, is_closed,
                       nonsubloop_witness, run_sweep)
 from moufang3.kernel import SWEEP_NAMES
 from moufang3.loop import Loop
@@ -106,8 +105,7 @@ def test_criterion_07_randomized_sweeps(loop):
             result = run_sweep(loop, name, seed=SEED, trials=SWEEP_TRIALS)
             assert result.violations == 0, (name, result.witness)
         elapsed = time.perf_counter() - t0
-        if BACKEND == "compiled":
-            assert elapsed < 300.0
+        assert elapsed < 300.0
 
 
 def test_criterion_08_count_oracle_equivalence(loop, sym):

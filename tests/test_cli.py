@@ -256,6 +256,15 @@ def test_env_overrides_defaults(capsys, monkeypatch):
     assert doc["seed"] == 99
 
 
+@pytest.mark.parametrize("name", ["MOUFANG3_SEED", "MOUFANG3_TRIALS"])
+def test_non_integer_env_value_exits_2(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "abc")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["verify", "--trials", "0", "--no-symbolic"])
+    assert exc_info.value.code == 2
+    assert f"{name}='abc' is not an integer" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["--version"])

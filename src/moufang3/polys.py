@@ -11,6 +11,15 @@ variable is a (block, index) pair with index in 1..19.  A monomial is a
 tuple of (Var, exponent) pairs sorted by variable, exponents in {1, 2}.
 A polynomial maps monomials to nonzero coefficients in {1, 2}; the zero
 polynomial is the empty mapping.
+
+Substitution is the hot path of the symbolic proofs, so it works on the raw
+term dicts and builds no Poly until its result.  For each monomial it looks
+up every factor first (an unbound variable raises even behind a zero
+factor), skips the monomial when a factor is the zero polynomial, and
+multiplies the factors smallest first through `_mul_terms`, the same
+product `Poly.__mul__` uses.  `mono_mul` concatenates two monomials whose
+variables do not interleave, such as an x-block and a y-block monomial,
+instead of merging them.
 """
 
 from __future__ import annotations
@@ -43,6 +52,11 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
         return m2
     if not m2:
         return m1
+    # disjoint ordered blocks (an x-monomial times a y-monomial) concatenate
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
     out = []
     i = j = 0
     n1, n2 = len(m1), len(m2)
@@ -78,6 +92,23 @@ def _mono_str(m: Monomial) -> str:
 def _term_key(m: Monomial):
     # graded order: degree first, then lexicographic on the factor list
     return (mono_degree(m), m)
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product of two canonical term dicts, as a new canonical dict."""
+    if len(a) > len(b):
+        a, b = b, a
+    acc: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = mono_mul(m1, m2)
+            c = (acc.get(mono, 0) + c1 * c2) % 3
+            if c:
+                acc[mono] = c
+            else:
+                # c1 * c2 is a unit, so a zero sum means mono was present
+                del acc[mono]
+    return acc
 
 
 class Poly:
@@ -190,19 +221,7 @@ class Poly:
             return -self
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        acc: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                mono = mono_mul(m1, m2)
-                c = (acc.get(mono, 0) + c1 * c2) % 3
-                if c:
-                    acc[mono] = c
-                else:
-                    acc.pop(mono, None)
-        return Poly._raw(acc)
+        return Poly._raw(_mul_terms(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -225,19 +244,27 @@ class Poly:
         """
         acc: dict = {}
         for mono, coeff in self._terms.items():
-            prod = Poly.constant(coeff)
+            factors = []
             for var, exp in mono:
                 try:
-                    q = env[var]
+                    q = env[var]._terms
                 except KeyError:
                     raise UnboundVariable(f"no substitution for {var}") from None
-                prod = prod * q if exp == 1 else prod * q * q
-            for m, c in prod._terms.items():
-                c = (acc.get(m, 0) + c) % 3
+                factors.append(q)
+                if exp == 2:
+                    factors.append(q)
+            if not all(factors):
+                continue
+            factors.sort(key=len)
+            prod = factors[0] if factors else {_ONE: 1}
+            for q in factors[1:]:
+                prod = _mul_terms(prod, q)
+            for m, c in prod.items():
+                c = (acc.get(m, 0) + coeff * c) % 3
                 if c:
                     acc[m] = c
                 else:
-                    acc.pop(m, None)
+                    del acc[m]
         return Poly._raw(acc)
 
     def specialize(self, var: Var, value: int) -> "Poly":

@@ -235,6 +235,23 @@ def test_verify_corrupted_fixture_fails(capsys, tmp_path):
                for name in failed)
 
 
+def test_prove_normal_form_reports_each_failed_power_once(capsys, tmp_path):
+    # h_7 += 2*x6 makes h(t*e6) nonzero at t = 1 and t = 2
+    edited = tmp_path / "tables"
+    edited.mkdir()
+    shutil.copy(_DATA_DIR / "f_table.txt", edited / "f_table.txt")
+    edited.joinpath("h_table.txt").write_text(
+        (_DATA_DIR / "h_table.txt").read_text() + "7; 2; x6\n")
+
+    code, out, _ = run(capsys, "prove", "normal-form", "--tables", str(edited),
+                       "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "refuted"
+    assert doc["details"]["power_precheck"] == ["h(1*e6) != 0",
+                                                "h(2*e6) != 0"]
+
+
 def test_verify_unreadable_tables_dir_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--tables", str(tmp_path / "nope"))
     assert code == 2

@@ -13,10 +13,11 @@ in a compiled extension when available, with a pure-Python fallback
 selected at import; see moufang3.kernel.BACKEND.
 """
 
-from .errors import (AmbiguousBracketing, DivisionCheckFailed,
-                     InverseLawViolation, LoopLawError, OrderNotFoundWithinCap,
-                     ParseError, UnboundVariable, ValidationFailure,
-                     WitnessFailed, ZeroSeed)
+from .errors import (AmbiguousBracketing, CanonicalFormBroken,
+                     DivisionCheckFailed, InverseLawViolation, LoopLawError,
+                     OrderNotFoundWithinCap, ParseError, TailCentralityBroken,
+                     UnboundVariable, ValidationFailure, WitnessFailed,
+                     ZeroSeed)
 from .kernel import BACKEND
 from .loop import (Element, IdentityCheck, Loop, basis, default_loop,
                    format_element, identity, parse_element, vec_add, vec_neg,
@@ -35,16 +36,18 @@ from .tables import (FormulaTable, TableReport, f_table, h_table,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousBracketing", "BACKEND", "ClosureResult", "ConsistencyReport",
-    "DensityEstimate", "DivisionCheckFailed", "Element", "FormulaTable",
-    "IdentityCheck", "InverseLawViolation", "LSetCount", "Loop",
-    "LoopLawError", "Monomial", "OrderNotFoundWithinCap", "ParseError",
-    "Poly", "ProofReport", "Refutation", "SWEEP_NAMES", "SweepResult",
-    "SymElement", "SymbolicLoop", "TableReport", "UnboundVariable",
-    "ValidationFailure", "Var", "Witness", "WitnessFailed", "ZeroSeed",
-    "basis", "brute_count_l_set", "closure", "count_l_set", "default_loop",
-    "density_sample", "embed", "f_table", "format_element", "generic",
-    "h_table", "identity", "in_l_set", "is_closed", "nonsubloop_witness",
-    "parse_element", "run_all", "run_sweep", "validate_tables", "var",
-    "vec_add", "vec_neg", "vec_scale",
+    "AmbiguousBracketing", "BACKEND", "CanonicalFormBroken",
+    "ClosureResult", "ConsistencyReport", "DensityEstimate",
+    "DivisionCheckFailed", "Element", "FormulaTable", "IdentityCheck",
+    "InverseLawViolation", "LSetCount", "Loop", "LoopLawError", "Monomial",
+    "OrderNotFoundWithinCap", "ParseError", "Poly", "ProofReport",
+    "Refutation", "SWEEP_NAMES", "SweepResult", "SymElement",
+    "SymbolicLoop", "TableReport", "TailCentralityBroken",
+    "UnboundVariable", "ValidationFailure", "Var", "Witness",
+    "WitnessFailed", "ZeroSeed", "basis", "brute_count_l_set", "closure",
+    "count_l_set", "default_loop", "density_sample", "embed", "f_table",
+    "format_element", "generic", "h_table", "identity", "in_l_set",
+    "is_closed", "nonsubloop_witness", "parse_element", "run_all",
+    "run_sweep", "validate_tables", "var", "vec_add", "vec_neg",
+    "vec_scale",
 ]

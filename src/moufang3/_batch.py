@@ -1,28 +1,46 @@
 """Bit-sliced batched identity sweeps: the pure backend's sweep kernel.
 
-`LoopKernel` here is `_native.LoopKernel` with `sweep` replaced; products,
-inverses and draws of single elements stay the scalar reference.  A sweep
-runs CHUNK trials at a time, one trial per lane, and returns exactly what
-`_native` returns: the same violation count, first failing trial and
-witness, because every lane consumes the same xorshift-star stream.
+`LoopKernel` here is `_native.LoopKernel` with `sweep` replaced and
+`sweep_many` added; products, inverses and draws of single elements stay
+the scalar reference.  A sweep runs CHUNK lanes per pass and returns
+exactly what `_native` returns: the same violation count, first failing
+trial and witness, because every lane consumes the same xorshift-star
+stream.
 
-Stream: trial i starts at the seed advanced by i times the trial's draw
+Blocks, groups and trials: each lane holds one block of consecutive draws
+of the stream ("e" a 19-trit element, "t" a 9-trit tail on coordinates
+11..19), lane L the L-th block.  A law that reads k draws per trial, run on
+a block of r*k draws, has r groups: group g of lane L is trial r*L + g and
+reads draws g*k .. g*k + k - 1 of the block.  `sweep` runs one law on its
+own layout, so r = 1 and lane L is trial L.  `sweep_many` draws the
+element stream once for all the laws that read only elements, on a block
+of 6 elements: Moufang (k = 3) has 2 groups, the alternative and flexible
+laws (k = 2) 3 each and the inverse law (k = 1) 6.  Each group is masked to
+the lanes whose trial is below the budget; the first failing trial is the
+least over all groups, and the witness is read from that group's lane.
+`tail_central` draws a tail and keeps its own layout "et".
+
+Stream: lane L starts at the seed advanced by L times the block's draw
 count.  Lane start states come from that jump-ahead, a GF(2)-linear map of
 the 64-bit state (Haramoto et al. 2008) applied as eight 256-entry byte
 tables; then every lane steps together inside one int that gives each lane
 a 128-bit slot, so the 126-bit product by the multiplier cannot spill into
-the next lane.
+the next lane.  The tables are built the same way, by stepping the 64 unit
+vectors together in one packed int.
 
 Arithmetic: a column of trits, one per lane, is two bit-plane ints
 (Boothby & Bradshaw 2009): `nz` has bit i set when lane i's trit is nonzero
 and `sg` when it is 2.  GF(3) addition costs six big-int operations and
 multiplication three, so one product of the loop evaluates the flattened
-f table for every lane at once.
+f table for every lane at once.  The r groups of a law are stacked side by
+side into planes r lanes-widths wide, so one evaluation covers them all.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
+from time import perf_counter
 
 from . import _native
 from ._native import MASK64, RNG_MULTIPLIER
@@ -116,10 +134,25 @@ def lane_trits(planes, lane):
 
 # -- the lane-split xorshift-star stream -------------------------------------
 
-def _step(s):
+def _packed(states):
+    """Lane i's 64-bit state in the low half of 128-bit slot i of one int."""
+    return int.from_bytes(b"".join(s.to_bytes(8, "little") + _PAD
+                                   for s in states), "little")
+
+
+def _slot_mask(lanes, byte):
+    """`byte` in the eight low bytes of every slot."""
+    return int.from_bytes((bytes((byte,)) * 8 + _PAD) * lanes, "little")
+
+
+def _advance(s, low):
+    """One xorshift step of every packed lane; `low` is _slot_mask(.., 0xff)."""
     s ^= s >> 12
-    s = (s ^ (s << 25)) & MASK64
-    return s ^ (s >> 27)
+    s &= low
+    s ^= s << 25
+    s &= low
+    s ^= s >> 27
+    return s & low
 
 
 @lru_cache(maxsize=None)
@@ -128,14 +161,15 @@ def _jump_tables(stride):
 
     The step is linear over GF(2), so the image of a state is the XOR of
     the images of its set bits; table b maps byte b of the state to the XOR
-    of the images of that byte's bits.
+    of the images of that byte's bits.  The 64 unit vectors step together
+    as the lanes of one packed int.
     """
-    cols = []
-    for bit in range(64):
-        s = 1 << bit
-        for _ in range(stride):
-            s = _step(s)
-        cols.append(s)
+    s, low = _packed(1 << bit for bit in range(64)), _slot_mask(64, 0xff)
+    for _ in range(stride):
+        s = _advance(s, low)
+    raw = s.to_bytes(_SLOT * 64, "little")
+    cols = [int.from_bytes(raw[_SLOT * bit:_SLOT * bit + 8], "little")
+            for bit in range(64)]
     tables = []
     for b in range(8):
         t = [0] * 256
@@ -147,7 +181,7 @@ def _jump_tables(stride):
 
 
 def draw_columns(state, lanes, stride):
-    """Draw `stride` trits per lane for `lanes` consecutive trials.
+    """Draw `stride` trits per lane for `lanes` consecutive blocks.
 
     Returns the columns, one (nz, sg) plane pair per draw, and the state
     after the last lane's draws.  Lane i's trits equal draws
@@ -163,16 +197,10 @@ def draw_columns(state, lanes, stride):
         state = (t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3]
                  ^ t4[b4] ^ t5[b5] ^ t6[b6] ^ t7[b7])
     s = int.from_bytes(packed, "little")
-    low = int.from_bytes((b"\xff" * 8 + _PAD) * lanes, "little")
-    nibbles = int.from_bytes((b"\x0f" * 8 + _PAD) * lanes, "little")
+    low, nibbles = _slot_mask(lanes, 0xff), _slot_mask(lanes, 0x0f)
     cols = []
     for _ in range(stride):
-        s ^= s >> 12
-        s &= low
-        s ^= s << 25
-        s &= low
-        s ^= s >> 27
-        s &= low
+        s = _advance(s, low)
         # Each lane's output is the low 64 bits w of s * multiplier; w mod 3
         # is the sum of its 16 nibbles mod 3, which byte 7 of the slot holds
         # after the nibbles are spread into bytes and multiplied by
@@ -224,30 +252,137 @@ def _elements(cols, layout):
     return out
 
 
+def _stack(groups, width):
+    """Each group's elements cut to `width` lanes, group g at bit g*width."""
+    if len(groups) == 1:
+        return groups[0]
+    keep = (1 << width) - 1
+    out = []
+    for elems in zip(*groups):
+        coords = []
+        for planes in zip(*elems):
+            nz = sg = 0
+            for a, b in reversed(planes):
+                nz = (nz << width) | (a & keep)
+                sg = (sg << width) | (b & keep)
+            coords.append((nz, sg))
+        out.append(tuple(coords))
+    return out
+
+
+def _first_failure(bad, groups, width, start):
+    """(trial, bit) of the least failing trial among stacked groups."""
+    keep = (1 << width) - 1
+    first = None
+    for g in range(groups):
+        part = (bad >> (g * width)) & keep
+        if part:
+            lane = (part & -part).bit_length() - 1
+            here = (groups * (start + lane) + g, g * width + lane)
+            first = here if first is None else min(first, here)
+    return first
+
+
+def _check_names(names):
+    for name in names:
+        if name not in _LAWS:
+            raise ValueError(f"unknown sweep {name!r}")
+
+
+def _check_seed(seed):
+    if not 0 <= seed <= MASK64:
+        raise ValueError("rng state must be a 64-bit unsigned integer")
+
+
+def _passes(names):
+    """(block, names) per pass over the stream: the laws that read only
+    elements share one block, each other law runs alone on its layout."""
+    shared = tuple(n for n in names if set(_LAWS[n][0]) == {"e"})
+    alone = [(_LAWS[n][0], (n,)) for n in names if n not in shared]
+    if not shared:
+        return alone
+    return [("e" * lcm(*(len(_LAWS[n][0]) for n in shared)), shared)] + alone
+
+
 class LoopKernel(_native.LoopKernel):
-    """`_native.LoopKernel` whose sweeps run CHUNK trials per pass."""
+    """`_native.LoopKernel` whose sweeps run CHUNK lanes per pass."""
 
     def sweep(self, name, seed, trials):
         """Run a named identity sweep; see `_native.LoopKernel.sweep`."""
-        try:
+        _check_names((name,))
+        _check_seed(seed)
+        results, _ = self._drive(_LAWS[name][0], (name,), seed, trials)
+        return results[name]
+
+    def sweep_many(self, names, seed, trials):
+        """Several sweeps from one seed, each shared stream drawn once.
+
+        Returns (results, seconds), both keyed by name: what `sweep`
+        returns, and the seconds of the passes attributed to the sweep
+        (see `_drive`), which sum to the wall time of the passes.
+        """
+        names = tuple(names)
+        _check_names(names)
+        if len(set(names)) < len(names):
+            raise ValueError(f"duplicate sweep names in {names}")
+        _check_seed(seed)
+        if trials < 0:
+            raise ValueError("trials must be >= 0")
+        results, seconds = {}, {}
+        for block, group in _passes(names):
+            r, s = self._drive(block, group, seed, trials)
+            results.update(r)
+            seconds.update(s)
+        return ({n: results[n] for n in names},
+                {n: seconds[n] for n in names})
+
+    def _drive(self, block, names, seed, trials):
+        """Sweep the named laws over one stream of `block` draws per lane.
+
+        Every law's layout must tile the block.  Returns the results and,
+        per law, its own evaluation time plus a share of the rest of the
+        pass (the draws) in proportion to the draws its trials read.
+        """
+        t_pass = perf_counter()
+        laws = []
+        for name in names:
             layout, lhs, rhs = _LAWS[name]
-        except KeyError:
-            raise ValueError(f"unknown sweep {name!r}") from None
-        if not 0 <= seed <= MASK64:
-            raise ValueError("rng state must be a 64-bit unsigned integer")
-        stride = sum(_DRAW_WIDTH[kind] for kind in layout)
-        violations, first, witness = 0, -1, None
+            laws.append((name, len(layout), len(block) // len(layout),
+                         lhs, rhs))
+        lanes_needed = max(-(-trials // r) for _, _, r, _, _ in laws)
+        stride = sum(_DRAW_WIDTH[kind] for kind in block)
+        found = {name: [0, -1, None] for name in names}
+        own = dict.fromkeys(names, 0.0)
         state = seed
-        for start in range(0, trials, CHUNK):
-            lanes = min(CHUNK, trials - start)
+        for start in range(0, lanes_needed, CHUNK):
+            lanes = min(CHUNK, lanes_needed - start)
             cols, state = draw_columns(state, lanes, stride)
-            xs = _elements(cols, layout)
-            k = _Planes(self._f, self._h, (1 << lanes) - 1)
-            bad = _differ(lhs(k, *xs), rhs(k, *xs))
-            if bad:
-                violations += bad.bit_count()
-                if first < 0:
-                    lane = (bad & -bad).bit_length() - 1
-                    first = start + lane
-                    witness = tuple(lane_trits(x, lane) for x in xs)
-        return violations, first, witness
+            drawn = _elements(cols, block)
+            for name, k, r, lhs, rhs in laws:
+                t0 = perf_counter()
+                # lanes of this chunk whose group-g trial is in the budget
+                counts = [min(lanes, -(-(trials - g) // r) - start)
+                          for g in range(r)]
+                width = counts[0]
+                if width > 0:
+                    xs = _stack([drawn[g * k:(g + 1) * k] for g in range(r)],
+                                width)
+                    mask = 0
+                    for g, n in enumerate(counts):
+                        if n > 0:
+                            mask |= ((1 << n) - 1) << (g * width)
+                    p = _Planes(self._f, self._h, (1 << (r * width)) - 1)
+                    bad = _differ(lhs(p, *xs), rhs(p, *xs)) & mask
+                    if bad:
+                        entry = found[name]
+                        entry[0] += bad.bit_count()
+                        if entry[1] < 0:
+                            entry[1], bit = _first_failure(bad, r, width,
+                                                           start)
+                            entry[2] = tuple(lane_trits(x, bit) for x in xs)
+                own[name] += perf_counter() - t0
+        rest = perf_counter() - t_pass - sum(own.values())
+        reads = sum(k for _, k, _, _, _ in laws)
+        seconds = {name: own[name] + rest * k / reads
+                   for name, k, _, _, _ in laws}
+        return {name: tuple(found[name]) for name in names}, seconds

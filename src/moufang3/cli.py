@@ -2,7 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 a verification/computation failed,
 2 usage or parse error.  Reports are deterministic for a fixed command and
-seed; the per-check millisecond timings are the only varying fields.
+seed; the per-check millisecond timings are the only varying fields.  A
+sweep row's `millis` is its share of the one pass that runs all six
+sweeps (see `run_verification`).
 
 The default seed (42) and trial budget (1000000) can be overridden with the
 environment variables MOUFANG3_SEED and MOUFANG3_TRIALS; explicit flags win
@@ -192,19 +194,29 @@ class CheckResult:
     millis: int
 
 
-def _checked(name, fn):
+def _checked(name, fn, seconds=None):
+    """Run one check; `seconds`, when given, maps the call's own time to
+    the time reported."""
     t0 = time.perf_counter()
     try:
         passed, details = fn()
     except (LoopLawError, ValidationFailure) as exc:
         passed, details = False, {"error": str(exc)}
-    millis = round(1000 * (time.perf_counter() - t0))
-    return CheckResult(name, passed, details, millis)
+    elapsed = time.perf_counter() - t0
+    if seconds is not None:
+        elapsed = seconds(elapsed)
+    return CheckResult(name, passed, details, round(1000 * elapsed))
 
 
 def run_verification(loop: Loop, seed: int, trials: int,
                      symbolic: bool) -> list:
-    """The ordered check list behind `verify`."""
+    """The ordered check list behind `verify`.
+
+    A check's `millis` is the wall time of its call, except for the sweep
+    rows: the six sweeps run in one shared kernel pass (see
+    `sweeps.SharedSweeps`), and each row reports its sweep's share of that
+    pass, so the sweep rows sum to the pass's wall time.
+    """
     checks = []
 
     def check_tables():
@@ -253,15 +265,18 @@ def run_verification(loop: Loop, seed: int, trials: int,
     checks.append(_checked("nonsubloop_witness", check_witness))
 
     if trials > 0:
+        shared = sweeps.SharedSweeps(loop, seed, trials)
         for name in sweeps.SWEEP_NAMES:
             def run(name=name):
-                r = sweeps.run_sweep(loop, name, seed, trials)
+                r = sweeps.run_sweep(loop, name, seed, trials, shared=shared)
                 details = {"law": r.law, "trials": r.trials,
                            "violations": r.violations}
                 if r.witness is not None:
                     details["witness"] = [format_element(e) for e in r.witness]
                 return r.ok, details
-            checks.append(_checked(f"sweep_{name}", run))
+            checks.append(_checked(
+                f"sweep_{name}", run,
+                lambda own, name=name: shared.seconds.get(name, own)))
 
     if symbolic:
         sym = SymbolicLoop(loop)

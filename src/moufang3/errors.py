@@ -49,6 +49,14 @@ class WitnessFailed(LoopLawError):
     """The non-subloop witness checks did not hold on the shipped tables."""
 
 
+class TailCentralityBroken(LoopLawError):
+    """An associator coordinate read one of the central tail coordinates."""
+
+
+class CanonicalFormBroken(LoopLawError):
+    """A nonzero polynomial vanished under every value of one variable."""
+
+
 class OrderNotFoundWithinCap(RuntimeError):
     """Element order exceeded the iteration cap; the caller may raise it."""
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import kernel
-from .errors import WitnessFailed
+from .errors import TailCentralityBroken, WitnessFailed
 from .loop import Element, Loop, basis, default_loop, format_element, identity
 from .polys import Var, flatten_polys
 from .symbolic import SymbolicLoop
@@ -152,7 +152,7 @@ def count_l_set(loop: Loop, a: Element, b: Element,
     for k, p in enumerate(variety.coords, start=1):
         stray = p.variables() - allowed
         if stray:
-            raise AssertionError(
+            raise TailCentralityBroken(
                 f"associator coordinate {k} reads {sorted(map(str, stray))}; "
                 "centrality of the tail is broken")
     ev = kernel.PolyEvaluator(flatten_polys(variety.coords, head_vars), HEAD)

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from . import loop as loop_mod
 from . import kernel
-from .errors import DivisionCheckFailed
+from .errors import CanonicalFormBroken, DivisionCheckFailed
 from .loop import Element, Loop, basis, default_loop
 from .polys import Poly, Var, flatten_polys
 
@@ -172,7 +172,8 @@ def nonzero_point(p: Poly) -> dict:
                 q = qt
                 break
         else:
-            raise AssertionError("canonical form broken: all specializations vanish")
+            raise CanonicalFormBroken(
+                "canonical form broken: all specializations vanish")
     return assignment
 
 

@@ -15,7 +15,7 @@ import pytest
 from moufang3 import (InverseLawViolation, LoopLawError, SymbolicLoop, basis,
                       brute_count_l_set, closure, count_l_set, density_sample,
                       f_table, h_table, identity, is_closed,
-                      nonsubloop_witness, run_sweep)
+                      nonsubloop_witness, run_all)
 from moufang3.kernel import SWEEP_NAMES
 from moufang3.loop import Loop
 from moufang3.polys import var
@@ -100,10 +100,12 @@ def test_criterion_06_remaining_proofs(sym):
 
 def test_criterion_07_randomized_sweeps(loop):
     with criterion(7, f"six identity sweeps x {SWEEP_TRIALS} trials"):
+        # one shared pass, as `verify` runs them
         t0 = time.perf_counter()
-        for name in SWEEP_NAMES:
-            result = run_sweep(loop, name, seed=SEED, trials=SWEEP_TRIALS)
-            assert result.violations == 0, (name, result.witness)
+        results = run_all(loop, seed=SEED, trials=SWEEP_TRIALS)
+        assert [r.name for r in results] == list(SWEEP_NAMES)
+        for result in results:
+            assert result.violations == 0, (result.name, result.witness)
         elapsed = time.perf_counter() - t0
         assert elapsed < 300.0
 

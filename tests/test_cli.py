@@ -287,3 +287,64 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc_info.value.code == 0
     assert capsys.readouterr().out.strip() == __version__
+
+
+# -- self-check failures: exit 1, one line, no traceback -------------------------
+
+def one_line_error(err):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("moufang3: ") \
+        and "Traceback" not in err
+
+
+def test_tail_centrality_failure_exits_1(capsys, monkeypatch):
+    from moufang3 import LoopLawError, TailCentralityBroken, subloops
+    from moufang3.polys import var
+    from moufang3.symbolic import SymbolicLoop, SymElement
+
+    variety = SymbolicLoop.associator_variety
+
+    def leaky(self, b1, b2):
+        coords = list(variety(self, b1, b2).coords)
+        coords[6] = coords[6] + var("x", 11)
+        return SymElement(coords)
+
+    monkeypatch.setattr(SymbolicLoop, "associator_variety", leaky)
+    with pytest.raises(TailCentralityBroken) as info:
+        subloops.count_l_set(subloops.default_loop(), basis(3), basis(4))
+    assert isinstance(info.value, LoopLawError)
+    code, out, err = run(capsys, "density", "e3", "e4")
+    assert code == 1 and out == ""
+    assert one_line_error(err) and "centrality of the tail" in err
+
+
+def test_canonical_form_failure_exits_1(capsys, monkeypatch, tmp_path):
+    from moufang3 import CanonicalFormBroken, LoopLawError
+    from moufang3.polys import Poly, var
+    from moufang3.symbolic import nonzero_point
+
+    # every evaluation and specialization reads zero, as if the
+    # representation had lost the canonical form
+    monkeypatch.setattr(Poly, "evaluate", lambda self, assignment: 0)
+    monkeypatch.setattr(Poly, "specialize", lambda self, v, t: Poly.zero())
+    with pytest.raises(CanonicalFormBroken) as info:
+        nonzero_point(var("x", 1) * var("y", 2))
+    assert isinstance(info.value, LoopLawError)
+
+    # a corrupted f makes the Moufang proof look for a refuting point
+    corrupt = tmp_path / "tables"
+    corrupt.mkdir()
+    corrupt.joinpath("f_table.txt").write_text(
+        (_DATA_DIR / "f_table.txt").read_text().replace("5; 2; x2*y1",
+                                                        "5; 1; x2*y1"))
+    shutil.copy(_DATA_DIR / "h_table.txt", corrupt / "h_table.txt")
+    code, out, err = run(capsys, "prove", "moufang", "--tables", str(corrupt))
+    assert code == 1 and out == ""
+    assert one_line_error(err) and "canonical form broken" in err
+
+    code, out, err = run(capsys, "verify", "--tables", str(corrupt),
+                         "--trials", "0", "--format", "json")
+    assert code == 1 and err == ""
+    rows = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert rows["prove_moufang"]["verdict"] == "fail"
+    assert "canonical form broken" in rows["prove_moufang"]["details"]["error"]

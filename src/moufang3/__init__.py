@@ -8,9 +8,9 @@ x^3 = x, and verifies that the set of elements associating with a fixed
 pair need not be a subloop even though every triple from the generating set
 associates.
 
-Hot kernels (concrete products, identity sweeps, brute-force counting) run
-in a compiled extension when available, with a pure-Python fallback
-selected at import; see moufang3.kernel.BACKEND.
+Hot kernels (concrete products, identity sweeps, brute-force counting) are
+pure Python; the identity sweeps run many trials at once on bit planes
+(see moufang3.kernel).
 """
 
 from .errors import (AmbiguousBracketing, CanonicalFormBroken,

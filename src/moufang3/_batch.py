@@ -5,7 +5,7 @@
 the scalar reference.  A sweep runs CHUNK lanes per pass and returns
 exactly what `_native` returns: the same violation count, first failing
 trial and witness, because every lane consumes the same xorshift-star
-stream.
+stream and evaluates the same law of `_native.LAWS`, on bit planes.
 
 Blocks, groups and trials: each lane holds one block of consecutive draws
 of the stream ("e" a 19-trit element, "t" a 9-trit tail on coordinates
@@ -43,11 +43,7 @@ from math import lcm
 from time import perf_counter
 
 from . import _native
-from ._native import MASK64, RNG_MULTIPLIER
-
-BACKEND = _native.BACKEND
-SWEEP_NAMES = _native.SWEEP_NAMES
-PolyEvaluator = _native.PolyEvaluator
+from ._native import LAWS, RNG_MULTIPLIER, _check_names, _check_seed
 
 # Trials evaluated together; the memory of one sweep is bounded by it.
 CHUNK = 2048
@@ -61,7 +57,6 @@ _NZ_DIGIT = bytes(b"01"[v % 3 != 0] for v in range(256))
 _SG_DIGIT = bytes(b"01"[v % 3 == 2] for v in range(256))
 
 _ZERO = (0, 0)
-_IDENTITY = (_ZERO,) * 19
 
 
 # -- GF(3) on bit planes -----------------------------------------------------
@@ -87,6 +82,8 @@ class _Planes:
     An element is a tuple of 19 plane pairs.  Constant monomials need the
     lane mask `ones`; the shipped tables have none.
     """
+
+    identity = (_ZERO,) * 19
 
     def __init__(self, f_flat, h_flat, ones):
         self._f = [self._terms(t) for t in f_flat]
@@ -216,31 +213,6 @@ def draw_columns(state, lanes, stride):
 
 # -- the sweeps ----------------------------------------------------------------
 
-# name -> (draws per trial, lhs, rhs).  A draw "e" is a 19-trit element and
-# "t" a tail on coordinates 11..19, in the order _native draws them; a law
-# of two equations concatenates their sides.
-_LAWS = {
-    "moufang": ("eee",
-                lambda k, x, y, z: k.mul(k.mul(x, y), k.mul(z, x)),
-                lambda k, x, y, z: k.mul(k.mul(x, k.mul(y, z)), x)),
-    "left_alternative": ("ee",
-                         lambda k, x, y: k.mul(k.mul(x, x), y),
-                         lambda k, x, y: k.mul(x, k.mul(x, y))),
-    "right_alternative": ("ee",
-                          lambda k, x, y: k.mul(k.mul(y, x), x),
-                          lambda k, x, y: k.mul(y, k.mul(x, x))),
-    "flexible": ("ee",
-                 lambda k, x, y: k.mul(k.mul(x, y), x),
-                 lambda k, x, y: k.mul(x, k.mul(y, x))),
-    "inverse": ("e",
-                lambda k, x: k.mul(x, k.inv(x)) + k.mul(k.inv(x), x),
-                lambda k, x: _IDENTITY + _IDENTITY),
-    "tail_central": ("et",
-                     lambda k, x, z: k.mul(x, z) + k.mul(z, x),
-                     lambda k, x, z: k.add(x, z) + k.add(x, z)),
-}
-
-
 def _elements(cols, layout):
     """Split a chunk's columns into the drawn elements, per the layout."""
     out, at = [], 0
@@ -283,25 +255,15 @@ def _first_failure(bad, groups, width, start):
     return first
 
 
-def _check_names(names):
-    for name in names:
-        if name not in _LAWS:
-            raise ValueError(f"unknown sweep {name!r}")
-
-
-def _check_seed(seed):
-    if not 0 <= seed <= MASK64:
-        raise ValueError("rng state must be a 64-bit unsigned integer")
-
-
 def _passes(names):
     """(block, names) per pass over the stream: the laws that read only
     elements share one block, each other law runs alone on its layout."""
-    shared = tuple(n for n in names if set(_LAWS[n][0]) == {"e"})
-    alone = [(_LAWS[n][0], (n,)) for n in names if n not in shared]
+    shared = tuple(n for n in names if set(LAWS[n].layout) == {"e"})
+    alone = [(LAWS[n].layout, (n,)) for n in names if n not in shared]
     if not shared:
         return alone
-    return [("e" * lcm(*(len(_LAWS[n][0]) for n in shared)), shared)] + alone
+    block = "e" * lcm(*(len(LAWS[n].layout) for n in shared))
+    return [(block, shared)] + alone
 
 
 class LoopKernel(_native.LoopKernel):
@@ -311,7 +273,7 @@ class LoopKernel(_native.LoopKernel):
         """Run a named identity sweep; see `_native.LoopKernel.sweep`."""
         _check_names((name,))
         _check_seed(seed)
-        results, _ = self._drive(_LAWS[name][0], (name,), seed, trials)
+        results, _ = self._drive(LAWS[name].layout, (name,), seed, trials)
         return results[name]
 
     def sweep_many(self, names, seed, trials):
@@ -346,7 +308,7 @@ class LoopKernel(_native.LoopKernel):
         t_pass = perf_counter()
         laws = []
         for name in names:
-            layout, lhs, rhs = _LAWS[name]
+            _, layout, lhs, rhs = LAWS[name]
             laws.append((name, len(layout), len(block) // len(layout),
                          lhs, rhs))
         lanes_needed = max(-(-trials // r) for _, _, r, _, _ in laws)

@@ -1,36 +1,97 @@
-"""Pure-Python kernels: the fallback backend when the C extension is absent.
+"""Pure-Python scalar kernel and the table of swept laws.
 
-Semantics here are the reference; moufang3._speedups mirrors this module
-bit for bit (same draw order, same results) and the parity tests hold the
-two implementations together.  Elements are 19-tuples of GF(3) residues.
+`LoopKernel` evaluates one product, inverse or draw at a time; it is the
+reference that `moufang3._batch`'s bit-sliced sweeps are tested against.
+`LAWS` writes each swept law once, over an ops object that provides
+`mul`, `inv`, `add` and `identity`: the scalar sweep here reads it with
+plain elements, `_batch` with bit planes.  Elements are 19-tuples of GF(3)
+residues.
 """
 
 from __future__ import annotations
 
-BACKEND = "pure"
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 MASK64 = (1 << 64) - 1
 RNG_MULTIPLIER = 2685821657736338717
 
 _IDENTITY = (0,) * 19
 
-SWEEP_NAMES = (
-    "moufang",
-    "left_alternative",
-    "right_alternative",
-    "flexible",
-    "inverse",
-    "tail_central",
-)
+
+class Law(NamedTuple):
+    """One swept identity: lhs(ops, *drawn) == rhs(ops, *drawn).
+
+    `layout` is what a trial draws, in order: "e" a 19-trit element, "t" a
+    tail on coordinates 11..19.  A law of two equations concatenates their
+    sides.
+    """
+
+    description: str
+    layout: str
+    lhs: Callable
+    rhs: Callable
+
+
+LAWS = {
+    "moufang": Law("(x*y)*(z*x) = (x*(y*z))*x", "eee",
+                   lambda k, x, y, z: k.mul(k.mul(x, y), k.mul(z, x)),
+                   lambda k, x, y, z: k.mul(k.mul(x, k.mul(y, z)), x)),
+    "left_alternative": Law("(x*x)*y = x*(x*y)", "ee",
+                            lambda k, x, y: k.mul(k.mul(x, x), y),
+                            lambda k, x, y: k.mul(x, k.mul(x, y))),
+    "right_alternative": Law("(y*x)*x = y*(x*x)", "ee",
+                             lambda k, x, y: k.mul(k.mul(y, x), x),
+                             lambda k, x, y: k.mul(y, k.mul(x, x))),
+    "flexible": Law("(x*y)*x = x*(y*x)", "ee",
+                    lambda k, x, y: k.mul(k.mul(x, y), x),
+                    lambda k, x, y: k.mul(x, k.mul(y, x))),
+    "inverse": Law("x*x^-1 = x^-1*x = 1", "e",
+                   lambda k, x: k.mul(x, k.inv(x)) + k.mul(k.inv(x), x),
+                   lambda k, x: k.identity + k.identity),
+    "tail_central": Law("z supported on 11..19 implies x*z = z*x = x+z", "et",
+                        lambda k, x, z: k.mul(x, z) + k.mul(z, x),
+                        lambda k, x, z: k.add(x, z) + k.add(x, z)),
+}
+
+SWEEP_NAMES = tuple(LAWS)
+
+
+def _check_names(names):
+    for name in names:
+        if name not in LAWS:
+            raise ValueError(f"unknown sweep {name!r}")
+
+
+def _check_seed(seed):
+    if not 0 <= seed <= MASK64:
+        raise ValueError("rng state must be a 64-bit unsigned integer")
 
 
 def _check_element(x):
     if len(x) != 19:
         raise ValueError("element must have 19 coordinates")
     for v in x:
-        if v not in (0, 1, 2):
+        # exactly int: True and 1.0 compare equal to 1 but are no residues
+        if type(v) is not int or v not in (0, 1, 2):
             raise ValueError(f"coordinate {v!r} is not a GF(3) residue")
     return tuple(x)
+
+
+def _add(x, y):
+    return tuple((a + b) % 3 for a, b in zip(x, y))
+
+
+def _trits(state, count):
+    """`count` xorshift-star outputs mod 3; returns (trits, new state)."""
+    s = state
+    coords = []
+    for _ in range(count):
+        s ^= s >> 12
+        s = (s ^ (s << 25)) & MASK64
+        s ^= s >> 27
+        coords.append(((s * RNG_MULTIPLIER) & MASK64) % 3)
+    return tuple(coords), s
 
 
 class LoopKernel:
@@ -91,119 +152,40 @@ class LoopKernel:
 
     def random_element(self, state):
         """Draw 19 trits from xorshift-star; returns (element, new state)."""
-        s = state
-        coords = []
-        for _ in range(19):
-            s ^= s >> 12
-            s = (s ^ (s << 25)) & MASK64
-            s ^= s >> 27
-            coords.append(((s * RNG_MULTIPLIER) & MASK64) % 3)
-        return tuple(coords), s
+        return _trits(state, 19)
 
     def _random_tail(self, state):
         # 9 trits into coordinates 11..19; head coordinates stay zero
-        s = state
-        coords = [0] * 10
-        for _ in range(9):
-            s ^= s >> 12
-            s = (s ^ (s << 25)) & MASK64
-            s ^= s >> 27
-            coords.append(((s * RNG_MULTIPLIER) & MASK64) % 3)
-        return tuple(coords), s
+        tail, s = _trits(state, 9)
+        return (0,) * 10 + tail, s
 
     # -- randomized identity sweeps ------------------------------------------
 
     def sweep(self, name, seed, trials):
-        """Run a named identity sweep.
+        """Run a named identity sweep of `LAWS`, one trial at a time.
 
         Returns (violations, first_failing_trial or -1, witness elements or
-        None).  Elements are drawn in the argument order given below, each
-        via random_element on the running state.
+        None).  Each trial draws its law's layout from the running state,
+        an element via random_element and a tail via _random_tail.
         """
-        try:
-            fn = getattr(self, "_sweep_" + name)
-        except AttributeError:
-            raise ValueError(f"unknown sweep {name!r}") from None
-        return fn(seed, trials)
-
-    def _sweep_moufang(self, seed, trials):
-        mul = self._mul
+        _check_names((name,))
+        _check_seed(seed)
+        law = LAWS[name]
+        ops = SimpleNamespace(mul=self._mul, inv=self._inv, add=_add,
+                              identity=_IDENTITY)
+        draws = [self.random_element if kind == "e" else self._random_tail
+                 for kind in law.layout]
         s = seed
         violations, first, witness = 0, -1, None
         for i in range(trials):
-            x, s = self.random_element(s)
-            y, s = self.random_element(s)
-            z, s = self.random_element(s)
-            if mul(mul(x, y), mul(z, x)) != mul(mul(x, mul(y, z)), x):
+            drawn = []
+            for draw in draws:
+                x, s = draw(s)
+                drawn.append(x)
+            if law.lhs(ops, *drawn) != law.rhs(ops, *drawn):
                 violations += 1
                 if first < 0:
-                    first, witness = i, (x, y, z)
-        return violations, first, witness
-
-    def _sweep_left_alternative(self, seed, trials):
-        mul = self._mul
-        s = seed
-        violations, first, witness = 0, -1, None
-        for i in range(trials):
-            x, s = self.random_element(s)
-            y, s = self.random_element(s)
-            if mul(mul(x, x), y) != mul(x, mul(x, y)):
-                violations += 1
-                if first < 0:
-                    first, witness = i, (x, y)
-        return violations, first, witness
-
-    def _sweep_right_alternative(self, seed, trials):
-        mul = self._mul
-        s = seed
-        violations, first, witness = 0, -1, None
-        for i in range(trials):
-            x, s = self.random_element(s)
-            y, s = self.random_element(s)
-            if mul(mul(y, x), x) != mul(y, mul(x, x)):
-                violations += 1
-                if first < 0:
-                    first, witness = i, (x, y)
-        return violations, first, witness
-
-    def _sweep_flexible(self, seed, trials):
-        mul = self._mul
-        s = seed
-        violations, first, witness = 0, -1, None
-        for i in range(trials):
-            x, s = self.random_element(s)
-            y, s = self.random_element(s)
-            if mul(mul(x, y), x) != mul(x, mul(y, x)):
-                violations += 1
-                if first < 0:
-                    first, witness = i, (x, y)
-        return violations, first, witness
-
-    def _sweep_inverse(self, seed, trials):
-        mul = self._mul
-        s = seed
-        violations, first, witness = 0, -1, None
-        for i in range(trials):
-            x, s = self.random_element(s)
-            w = self._inv(x)
-            if mul(x, w) != _IDENTITY or mul(w, x) != _IDENTITY:
-                violations += 1
-                if first < 0:
-                    first, witness = i, (x,)
-        return violations, first, witness
-
-    def _sweep_tail_central(self, seed, trials):
-        mul = self._mul
-        s = seed
-        violations, first, witness = 0, -1, None
-        for i in range(trials):
-            x, s = self.random_element(s)
-            z, s = self._random_tail(s)
-            want = tuple((a + b) % 3 for a, b in zip(x, z))
-            if mul(x, z) != want or mul(z, x) != want:
-                violations += 1
-                if first < 0:
-                    first, witness = i, (x, z)
+                    first, witness = i, tuple(drawn)
         return violations, first, witness
 
 

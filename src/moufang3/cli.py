@@ -31,6 +31,10 @@ from .symbolic import SymbolicLoop
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 1_000_000
 
+# claim -> the SymbolicLoop method proving it, in `verify`'s order
+PROOFS = {"identity": "prove_identity_law", "inverse": "prove_inverse_law",
+          "moufang": "prove_moufang", "normal-form": "prove_normal_form"}
+
 
 # -- expression grammar for `eval` -------------------------------------------
 
@@ -242,14 +246,9 @@ def run_verification(loop: Loop, seed: int, trials: int,
     checks.append(_checked("identification_table", check_identification))
 
     def check_generator_associators():
-        a, b, c, d = basis(1), basis(2), basis(3), basis(4)
-        values = {
-            "(a,b,c)": loop.associator(a, b, c),
-            "(a,b,d)": loop.associator(a, b, d),
-            "(a,c,d)": loop.associator(a, c, d),
-            "(b,c,d)": loop.associator(b, c, d),
-        }
+        values = dict(subloops.generator_associators(loop))
         ok = all(v == identity() for v in values.values())
+        a, b, c, d = basis(1), basis(2), basis(3), basis(4)
         e19 = loop.associator(loop.commutator(a, b), c, d)
         ok = ok and e19 == basis(19)
         details = {k: format_element(v, "sparse") for k, v in values.items()}
@@ -280,12 +279,9 @@ def run_verification(loop: Loop, seed: int, trials: int,
 
     if symbolic:
         sym = SymbolicLoop(loop)
-        for claim, fn in (("identity", sym.prove_identity_law),
-                          ("inverse", sym.prove_inverse_law),
-                          ("moufang", sym.prove_moufang),
-                          ("normal-form", sym.prove_normal_form)):
-            def run(fn=fn):
-                r = fn()
+        for claim, method in PROOFS.items():
+            def run(method=method):
+                r = getattr(sym, method)()
                 return r.proved, r.as_json()
             checks.append(_checked(f"prove_{claim}", run))
 
@@ -339,12 +335,7 @@ def cmd_verify(args) -> int:
 
 def cmd_prove(args) -> int:
     loop = _make_loop(args)
-    sym = SymbolicLoop(loop)
-    fn = {"moufang": sym.prove_moufang,
-          "inverse": sym.prove_inverse_law,
-          "identity": sym.prove_identity_law,
-          "normal-form": sym.prove_normal_form}[args.claim]
-    report = fn()
+    report = getattr(SymbolicLoop(loop), PROOFS[args.claim])()
     if args.format == "json":
         doc = report.as_json()
         doc["tool_version"] = __version__
@@ -473,8 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("prove", help="run one symbolic proof")
-    p.add_argument("claim", choices=("moufang", "inverse", "identity",
-                                     "normal-form"))
+    p.add_argument("claim", choices=PROOFS)
     common(p)
     p.set_defaults(fn=cmd_prove)
 

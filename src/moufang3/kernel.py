@@ -1,21 +1,10 @@
-"""Backend selection: compiled extension when available, pure Python otherwise.
+"""The evaluation kernel, pure Python throughout.
 
-The pure backend is `_native`'s scalar kernel with the bit-sliced batched
-sweeps of `_batch`.  Set MOUFANG3_PURE=1 to force the pure backend (useful
-for benchmarking and for debugging suspected kernel divergences).
+Products, inverses and single draws are `_native`'s scalar reference;
+identity sweeps run CHUNK trials at a time on bit planes (`_batch`).
 """
 
-import os
+from ._batch import LoopKernel
+from ._native import SWEEP_NAMES, PolyEvaluator
 
-if os.environ.get("MOUFANG3_PURE"):
-    from . import _batch as _impl
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _batch as _impl
-
-LoopKernel = _impl.LoopKernel
-PolyEvaluator = _impl.PolyEvaluator
-BACKEND = _impl.BACKEND
-SWEEP_NAMES = _impl.SWEEP_NAMES
+BACKEND = "pure"

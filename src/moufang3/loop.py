@@ -187,7 +187,10 @@ class Loop:
     def inverse(self, x: Element) -> Element:
         """-x + h(x), self-checked against x o x^-1 = x^-1 o x = identity."""
         w = self._kernel.inv(x)
-        if self._kernel.mul(x, w) != _IDENTITY or self._kernel.mul(w, x) != _IDENTITY:
+        # x passed the kernel's element check in inv; w is the kernel's own
+        # output, so the self-check multiplies without checking them again
+        x, mul = tuple(x), self._kernel._mul
+        if mul(x, w) != _IDENTITY or mul(w, x) != _IDENTITY:
             raise InverseLawViolation(
                 f"inverse law failed at {format_element(x)}; the tables are corrupt")
         return w
@@ -195,7 +198,7 @@ class Loop:
     def left_div(self, u: Element, v: Element) -> Element:
         """The unique w with u o w = v, via the inverse property."""
         w = self._kernel.mul(self.inverse(u), v)
-        if self._kernel.mul(u, w) != tuple(v):
+        if self._kernel._mul(tuple(u), w) != tuple(v):     # u, v checked
             raise DivisionCheckFailed(
                 f"left division failed at u={format_element(u)} v={format_element(v)}")
         return w
@@ -203,7 +206,7 @@ class Loop:
     def right_div(self, v: Element, u: Element) -> Element:
         """The unique w with w o u = v."""
         w = self._kernel.mul(v, self.inverse(u))
-        if self._kernel.mul(w, u) != tuple(v):
+        if self._kernel._mul(w, tuple(u)) != tuple(v):     # u, v checked
             raise DivisionCheckFailed(
                 f"right division failed at v={format_element(v)} u={format_element(u)}")
         return w

@@ -30,6 +30,10 @@ HEAD = 10
 HEAD_TOTAL = 3 ** HEAD    # 59049
 TAIL_FREEDOM = 3 ** 9
 
+# the four triples of the generating set {a, b, c, d} = {e1, e2, e3, e4}
+GENERATOR_TRIPLES = (("(a,b,c)", (1, 2, 3)), ("(a,b,d)", (1, 2, 4)),
+                     ("(a,c,d)", (1, 3, 4)), ("(b,c,d)", (2, 3, 4)))
+
 
 @dataclass(frozen=True)
 class ClosureResult:
@@ -224,6 +228,12 @@ class Witness:
         }
 
 
+def generator_associators(loop: Loop) -> tuple:
+    """((label, associator), ...) over GENERATOR_TRIPLES."""
+    return tuple((label, loop.associator(*map(basis, coords)))
+                 for label, coords in GENERATOR_TRIPLES)
+
+
 def nonsubloop_witness(loop: Loop | None = None) -> Witness:
     """Verify the full witness chain; raises WitnessFailed if any part fails.
 
@@ -233,12 +243,7 @@ def nonsubloop_witness(loop: Loop | None = None) -> Witness:
     """
     lp = loop if loop is not None else default_loop()
     a, b, c, d = basis(1), basis(2), basis(3), basis(4)
-    triples = (
-        ("(a,b,c)", lp.associator(a, b, c)),
-        ("(a,b,d)", lp.associator(a, b, d)),
-        ("(a,c,d)", lp.associator(a, c, d)),
-        ("(b,c,d)", lp.associator(b, c, d)),
-    )
+    triples = generator_associators(lp)
     for label, value in triples:
         if value != identity():
             raise WitnessFailed(f"generator triple {label} = "

@@ -20,22 +20,12 @@ laws, flexibility and the inverse law), so the shares sum to the pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
-from .kernel import SWEEP_NAMES
-from .loop import Element, Loop, check_seed, default_loop
+from ._native import LAWS, SWEEP_NAMES
+from .loop import Loop, check_seed, default_loop
 
 __all__ = ["SWEEP_NAMES", "SharedSweeps", "SweepResult", "run_sweep",
            "run_all"]
-
-_DESCRIPTIONS = {
-    "moufang": "(x*y)*(z*x) = (x*(y*z))*x",
-    "left_alternative": "(x*x)*y = x*(x*y)",
-    "right_alternative": "(y*x)*x = y*(x*x)",
-    "flexible": "(x*y)*x = x*(y*x)",
-    "inverse": "x*x^-1 = x^-1*x = 1",
-    "tail_central": "z supported on 11..19 implies x*z = z*x = x+z",
-}
 
 
 @dataclass(frozen=True)
@@ -71,16 +61,8 @@ class SharedSweeps:
     def result(self, name: str) -> tuple:
         """(violations, first failing trial, witness) of one sweep."""
         if self._results is None:
-            kern = self.loop._kernel
-            if hasattr(kern, "sweep_many"):
-                self._results, self.seconds = kern.sweep_many(
-                    SWEEP_NAMES, self.seed, self.trials)
-            else:        # a kernel without a shared pass: one sweep each
-                self._results = {}
-                for n in SWEEP_NAMES:
-                    t0 = perf_counter()
-                    self._results[n] = kern.sweep(n, self.seed, self.trials)
-                    self.seconds[n] = perf_counter() - t0
+            self._results, self.seconds = self.loop._kernel.sweep_many(
+                SWEEP_NAMES, self.seed, self.trials)
         return self._results[name]
 
 
@@ -105,7 +87,7 @@ def run_sweep(loop: Loop | None, name: str, seed: int = 42,
     else:
         raise ValueError(f"the shared pass is not of this loop at seed "
                          f"{seed} and {trials} trials")
-    return SweepResult(name, _DESCRIPTIONS[name], seed, trials,
+    return SweepResult(name, LAWS[name].description, seed, trials,
                        violations, first, witness)
 
 

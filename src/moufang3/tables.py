@@ -16,7 +16,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import ValidationFailure
-from .polys import Poly, Var
+from .polys import Poly, Var, flatten_polys
 
 N_COORDS = 19
 MAX_VAR_INDEX = 10
@@ -174,21 +174,11 @@ def validate_tables(f: FormulaTable | None = None,
 
 
 def compile_concrete(table: FormulaTable) -> list:
-    """Flatten a table for the evaluation kernels.
+    """Flatten a table for the evaluation kernels (see polys.flatten_polys).
 
-    Returns a 19-entry list; entry k is a list of (coeff, codes) where each
-    code is src * 10 + (index - 1), src being the position of the variable's
-    block in table.blocks.  Exponents are encoded by repeating the code
-    (irrelevant for the shipped tables, whose exponents are all 1).
+    The variable order is each block of table.blocks in turn, indices
+    1..10, so variable (block, index) gets code src * 10 + (index - 1),
+    src being the block's position in table.blocks.
     """
-    src = {b: i for i, b in enumerate(table.blocks)}
-    flat = []
-    for p in table.coords:
-        terms = []
-        for mono, coeff in p.terms():
-            codes = []
-            for v, e in mono:
-                codes.extend([src[v.block] * 10 + (v.index - 1)] * e)
-            terms.append((coeff, tuple(codes)))
-        flat.append(terms)
-    return flat
+    return flatten_polys(table.coords, [Var(b, i) for b in table.blocks
+                                        for i in range(1, MAX_VAR_INDEX + 1)])

@@ -5,10 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from moufang3 import (InverseLawViolation, OrderNotFoundWithinCap, ParseError,
-                      ZeroSeed, basis, format_element, h_table, identity,
-                      parse_element, vec_add, vec_neg, vec_scale)
+                      ZeroSeed, _batch, _native, basis, f_table,
+                      format_element, h_table, identity, parse_element,
+                      vec_add, vec_neg, vec_scale)
 from moufang3.loop import Loop, check_seed
 from moufang3.polys import var
+from moufang3.tables import compile_concrete
 
 # frozen from an independent execution of the generator recipe
 SEED1_ELEMENT = (1, 2, 1, 0, 2, 1, 0, 1, 2, 2, 0, 1, 1, 2, 1, 0, 2, 2, 2)
@@ -71,6 +73,34 @@ def test_corrupted_inverse_table_fails_hard():
     bad = Loop(h=h_table().with_coord(5, var("x", 1) * var("x", 2)))
     with pytest.raises(InverseLawViolation):
         bad.inverse(vec_add(e(1), e(2)))
+
+
+# -- the element boundary --------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [1.0, True, 2 ** 40, "1", -1, 3])
+def test_mul_and_inverse_accept_only_int_residues(loop, bad):
+    x = (bad,) + (0,) * 18
+    for call in (lambda: loop.mul(x, e(2)), lambda: loop.mul(e(2), x),
+                 lambda: loop.inverse(x)):
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("kind", [_native, _batch])
+def test_kernel_input_validation(kind):
+    k = kind.LoopKernel(compile_concrete(f_table()),
+                        compile_concrete(h_table()))
+    for bad in ((0,) * 18, (0,) * 20, (0,) * 18 + (3,)):
+        with pytest.raises(ValueError):
+            k.mul(bad, (0,) * 19)
+        with pytest.raises(ValueError):
+            k.inv(bad)
+    for name in ("frobnicate", "", "_sweep_moufang"):
+        with pytest.raises(ValueError, match="unknown sweep"):
+            k.sweep(name, 42, 10)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="64-bit"):
+            k.sweep("moufang", seed, 10)
 
 
 # -- divisions --------------------------------------------------------------------

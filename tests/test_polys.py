@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moufang3 import Poly, UnboundVariable, Var, var
+from moufang3.kernel import PolyEvaluator
 from moufang3.polys import flatten_polys, mono_mul
 
 X1, X2 = var("x", 1), var("x", 2)
@@ -244,3 +245,11 @@ def test_flatten_polys_codes():
 def test_flatten_rejects_unlisted_variables():
     with pytest.raises(UnboundVariable):
         flatten_polys([X1 * Y2], [Var("x", 1)])
+
+
+def test_poly_evaluator_validation():
+    ev = PolyEvaluator(flatten_polys([X1], [Var("x", 1), Var("x", 2)]), 2)
+    with pytest.raises(ValueError):
+        ev.eval_at((0,))
+    with pytest.raises(ValueError):
+        PolyEvaluator([[]], 17).count_all_zero()

@@ -186,16 +186,6 @@ def test_run_all_matches_separate_sweeps(mutation):
             sweeps.run_sweep(lp, name, seed, trials) for name in NAMES]
 
 
-def test_kernel_without_shared_pass_runs_each_sweep(monkeypatch):
-    lp = Loop()
-    monkeypatch.setattr(lp, "_kernel", _native.LoopKernel(
-        tables.compile_concrete(lp.f), tables.compile_concrete(lp.h)))
-    shared = sweeps.SharedSweeps(lp, 42, 30)
-    got = [sweeps.run_sweep(lp, n, 42, 30, shared=shared) for n in NAMES]
-    assert got == [sweeps.run_sweep(lp, n, 42, 30) for n in NAMES]
-    assert sorted(shared.seconds) == sorted(NAMES)
-
-
 def test_shared_pass_must_match_the_sweep():
     lp = Loop()
     shared = sweeps.SharedSweeps(lp, 42, 30)

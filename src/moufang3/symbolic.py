@@ -36,6 +36,8 @@ from .polys import Poly, Var, flatten_polys
 
 N = 19
 _HEAD = 10  # the tables read coordinates 1..10 only
+_X_HEAD = tuple(Var("x", i) for i in range(1, _HEAD + 1))
+_Y_HEAD = tuple(Var("y", i) for i in range(1, _HEAD + 1))
 
 
 class SymElement:
@@ -193,12 +195,16 @@ class ConsistencyReport:
 
 
 def _telemetry(*sides: SymElement) -> dict:
-    counts = [p.term_count() for s in sides for p in s.coords]
-    degrees = [p.total_degree() for s in sides for p in s.coords]
+    counts = []
+    max_degree = 0
+    for s in sides:
+        for p in s.coords:
+            counts.append(p.term_count())
+            max_degree = max(max_degree, p.total_degree())
     return {
         "max_coord_terms": max(counts),
         "total_terms": sum(counts),
-        "max_degree": max(degrees),
+        "max_degree": max_degree,
     }
 
 
@@ -214,16 +220,14 @@ class SymbolicLoop:
 
     def mul(self, a: SymElement, b: SymElement) -> SymElement:
         """Coordinate k of a o b: a_k + b_k + f_k(a, b)."""
-        env = {}
-        for i in range(_HEAD):
-            env[Var("x", i + 1)] = a.coords[i]
-            env[Var("y", i + 1)] = b.coords[i]
+        env = dict(zip(_X_HEAD, a.coords))
+        env.update(zip(_Y_HEAD, b.coords))
         return SymElement([a.coords[k] + b.coords[k] + self._f[k].substitute(env)
                            for k in range(N)])
 
     def inverse(self, a: SymElement) -> SymElement:
         """Coordinate k of a^-1: -a_k + h_k(a)."""
-        env = {Var("x", i + 1): a.coords[i] for i in range(_HEAD)}
+        env = dict(zip(_X_HEAD, a.coords))
         return SymElement([-a.coords[k] + self._h[k].substitute(env)
                            for k in range(N)])
 

@@ -94,7 +94,11 @@ def parse_table(text: str, name: str, blocks: tuple[str, ...]) -> FormulaTable:
             if not m:
                 raise ValidationFailure(
                     f"{name} table line {lineno}: bad factor {tok.strip()!r}")
-            factors.append(Var(m.group(1), int(m.group(2))))
+            v = Var(m.group(1), int(m.group(2)))
+            if v.block not in blocks or not 1 <= v.index <= MAX_VAR_INDEX:
+                # raised here: a Poly holds only blocks x/y/z/t at 1..19
+                _check_read(name, coord, blocks, v)
+            factors.append(v)
         if len(set(factors)) != len(factors):
             raise ValidationFailure(
                 f"{name} table line {lineno}: repeated factor in monomial")
@@ -130,6 +134,15 @@ def load_tables_from(directory) -> tuple[FormulaTable, FormulaTable]:
     return f, h
 
 
+def _check_read(name: str, k: int, blocks: tuple[str, ...], v: Var) -> None:
+    if v.block not in blocks:
+        raise ValidationFailure(
+            f"{name}_{k} reads block {v.block!r}, allowed {blocks}")
+    if not 1 <= v.index <= MAX_VAR_INDEX:
+        raise ValidationFailure(
+            f"{name}_{k} reads index {v.index}, allowed 1..{MAX_VAR_INDEX}")
+
+
 def validate_table(table: FormulaTable) -> TableStats:
     """Check the structural invariants; raise ValidationFailure naming the
     violated invariant and coordinate."""
@@ -147,12 +160,7 @@ def validate_table(table: FormulaTable) -> TableStats:
         for mono, _ in p.terms():
             deg = 0
             for v, e in mono:
-                if v.block not in table.blocks:
-                    raise ValidationFailure(
-                        f"{table.name}_{k} reads block {v.block!r}, allowed {table.blocks}")
-                if not 1 <= v.index <= MAX_VAR_INDEX:
-                    raise ValidationFailure(
-                        f"{table.name}_{k} reads index {v.index}, allowed 1..{MAX_VAR_INDEX}")
+                _check_read(table.name, k, table.blocks, v)
                 if e != 1:
                     raise ValidationFailure(
                         f"{table.name}_{k} has exponent {e} > 1 on {v}")

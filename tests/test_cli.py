@@ -252,6 +252,18 @@ def test_prove_normal_form_reports_each_failed_power_once(capsys, tmp_path):
                                                 "h(2*e6) != 0"]
 
 
+@pytest.mark.parametrize("factor", ["w3", "x25", "x0"])
+def test_table_variable_outside_the_ring_exits_1(capsys, tmp_path, factor):
+    edited = tmp_path / "tables"
+    edited.mkdir()
+    edited.joinpath("f_table.txt").write_text(
+        (_DATA_DIR / "f_table.txt").read_text() + f"7; 1; {factor}*y2\n")
+    shutil.copy(_DATA_DIR / "h_table.txt", edited / "h_table.txt")
+    code, out, err = run(capsys, "prove", "moufang", "--tables", str(edited))
+    assert code == 1 and out == ""
+    assert one_line_error(err) and "f_7 reads" in err
+
+
 def test_verify_unreadable_tables_dir_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--tables", str(tmp_path / "nope"))
     assert code == 2

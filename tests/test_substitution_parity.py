@@ -51,8 +51,8 @@ def oracle_mono_mul(m1, m2):
 
 def oracle_mul(p, q):
     acc = {}
-    for m1, c1 in p._terms.items():
-        for m2, c2 in q._terms.items():
+    for m1, c1 in p.terms():
+        for m2, c2 in q.terms():
             mono = oracle_mono_mul(m1, m2)
             acc[mono] = (acc.get(mono, 0) + c1 * c2) % 3
     return Poly(acc)
@@ -60,7 +60,7 @@ def oracle_mul(p, q):
 
 def oracle_substitute(self, env):
     acc = Poly.zero()
-    for mono, coeff in self._terms.items():
+    for mono, coeff in self.terms():
         prod = Poly.constant(coeff)
         for v, exp in mono:
             try:

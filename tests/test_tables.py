@@ -152,6 +152,19 @@ def test_rejects_tail_index():
         validate_tables(f=bad)
 
 
+# factors no Poly can hold are rejected while parsing, with the same
+# message validate_table gives for a factor outside the table's blocks
+@pytest.mark.parametrize("factor, message", [
+    ("w3", "f_5 reads block 'w', allowed ('x', 'y')"),
+    ("x25", "f_5 reads index 25, allowed 1..10"),
+    ("x0", "f_5 reads index 0, allowed 1..10"),
+])
+def test_parse_table_rejects_variables_outside_the_ring(factor, message):
+    with pytest.raises(ValidationFailure) as info:
+        parse_table(f"5; 2; {factor}*y1\n", "f", ("x", "y"))
+    assert str(info.value) == message
+
+
 def test_rejects_wrong_block():
     bad = h_table().with_coord(5, var("x", 1) * var("y", 2))
     with pytest.raises(ValidationFailure, match="block"):

@@ -19,7 +19,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__, kernel, subloops, sweeps, tables
 from .errors import (AmbiguousBracketing, LoopLawError, OrderNotFoundWithinCap,
@@ -190,8 +190,7 @@ def eval_expression(text: str, loop: Loop | None = None) -> Element:
 
 # -- the verification report --------------------------------------------------
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: dict
@@ -511,7 +510,7 @@ def main(argv=None) -> int:
     except (LoopLawError, ValidationFailure, OrderNotFoundWithinCap) as exc:
         print(f"moufang3: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or non-file table
         print(f"moufang3: {exc}", file=sys.stderr)
         return 2
 

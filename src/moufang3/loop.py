@@ -14,9 +14,8 @@ fire on the shipped tables; if one does, it signals a transcription bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import gf3, kernel, tables
 from .errors import (DivisionCheckFailed, InverseLawViolation,
@@ -147,8 +146,7 @@ def check_seed(state: int) -> int:
     return state
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """One row of the generator identification table."""
 
     coord: int

@@ -231,6 +231,10 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through _raw, not the refused __setattr__
+        return Poly._raw, (dict(self._terms),)
+
     @classmethod
     def _raw(cls, terms: dict) -> "Poly":
         # trusted constructor: packed keys, no zero coefficients

@@ -16,15 +16,17 @@ enumeration that never touches polynomial machinery, and the two must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernel
 from .errors import TailCentralityBroken, WitnessFailed
 from .loop import Element, Loop, basis, default_loop, format_element, identity
 from .polys import Var, flatten_polys
 from .symbolic import SymbolicLoop
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 HEAD = 10
 HEAD_TOTAL = 3 ** HEAD    # 59049
@@ -35,8 +37,7 @@ GENERATOR_TRIPLES = (("(a,b,c)", (1, 2, 3)), ("(a,b,d)", (1, 2, 4)),
                      ("(a,c,d)", (1, 3, 4)), ("(b,c,d)", (2, 3, 4)))
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     """Saturation of a generator set under product and inverse."""
 
     elements: frozenset
@@ -124,8 +125,7 @@ def in_l_set(loop: Loop, x: Element, a: Element, b: Element) -> bool:
     return loop.associator(x, a, b) == identity()
 
 
-@dataclass(frozen=True)
-class LSetCount:
+class LSetCount(NamedTuple):
     """Exact size of an associate set l_{a,b}."""
 
     pair: tuple
@@ -134,6 +134,7 @@ class LSetCount:
 
     @property
     def density(self) -> Fraction:
+        from fractions import Fraction  # only here: `verify` never needs it
         return Fraction(self.head_count, self.head_total)
 
     @property
@@ -174,8 +175,7 @@ def brute_count_l_set(loop: Loop, a: Element, b: Element) -> LSetCount:
     return LSetCount((tuple(a), tuple(b)), count, HEAD_TOTAL)
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
+class DensityEstimate(NamedTuple):
     """Seeded sampling estimate of the density of l_{a,b}."""
 
     pair: tuple
@@ -202,8 +202,7 @@ def density_sample(loop: Loop, a: Element, b: Element,
     return DensityEstimate((tuple(a), tuple(b)), hits, trials, seed)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """The verified witness that l_{c,d} is not a subloop.
 
     Also records that every triple from the generating set {a,b,c,d}

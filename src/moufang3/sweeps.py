@@ -19,7 +19,7 @@ laws, flexibility and the inverse law), so the shares sum to the pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._native import LAWS, SWEEP_NAMES
 from .loop import Loop, check_seed, default_loop
@@ -28,8 +28,7 @@ __all__ = ["SWEEP_NAMES", "SharedSweeps", "SweepResult", "run_sweep",
            "run_all"]
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     name: str
     law: str
     seed: int

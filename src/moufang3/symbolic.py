@@ -25,8 +25,7 @@ difference coordinate (the mutation tests exercise exactly that).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import loop as loop_mod
 from . import kernel
@@ -86,8 +85,7 @@ def assignment_for(blocks: Mapping[str, Element]) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(NamedTuple):
     """A concrete counterexample extracted from a surviving monomial."""
 
     coord: int                       # 1-based difference coordinate
@@ -113,8 +111,7 @@ class Refutation:
         }
 
 
-@dataclass(frozen=True)
-class ProofReport:
+class ProofReport(NamedTuple):
     """Outcome of one symbolic identity proof.
 
     proved is True exactly when every difference coordinate reduced to the
@@ -127,8 +124,8 @@ class ProofReport:
     nonzero_coords: tuple
     telemetry: dict
     millis: float
-    witness: Refutation | None = None
-    details: dict = field(default_factory=dict)
+    witness: Refutation | None
+    details: dict
 
     def as_json(self) -> dict:
         out = {
@@ -179,8 +176,7 @@ def nonzero_point(p: Poly) -> dict:
     return assignment
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """Result of the evaluate-commutes-with-symbolic-operations sweep."""
 
     trials: int

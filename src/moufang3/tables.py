@@ -11,9 +11,9 @@ above 10 -- which is why coordinates 11..19 behave centrally.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ValidationFailure
 from .polys import Poly, Var, flatten_polys
@@ -26,8 +26,7 @@ _DATA_DIR = Path(__file__).parent / "data"
 _VAR_RE = re.compile(r"^([a-z])(\d+)$")
 
 
-@dataclass(frozen=True)
-class FormulaTable:
+class FormulaTable(NamedTuple):
     """An immutable 19-coordinate table of sparse polynomials."""
 
     name: str
@@ -47,16 +46,14 @@ class FormulaTable:
         return FormulaTable(self.name, self.blocks, tuple(coords))
 
 
-@dataclass(frozen=True)
-class TableStats:
+class TableStats(NamedTuple):
     name: str
     term_counts: tuple[int, ...]
     max_total_degree: int
     index_support: frozenset
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     f: TableStats
     h: TableStats
 

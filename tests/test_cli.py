@@ -269,6 +269,13 @@ def test_verify_unreadable_tables_dir_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_table_file_that_is_a_directory_exits_2(capsys, tmp_path):
+    (tmp_path / "f_table.txt").mkdir()
+    code, out, err = run(capsys, "verify", "--tables", str(tmp_path))
+    assert code == 2 and out == ""
+    assert one_line_error(err) and "f_table.txt" in err
+
+
 def test_verify_bad_seed_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--trials", "10", "--seed", "0")
     assert code == 2

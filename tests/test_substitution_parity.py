@@ -3,8 +3,8 @@ straightforward reference versions kept here.
 
 `oracle_substitute` is the Poly-object substitution (one Poly temporary per
 factor, multiplied in monomial order) and `oracle_mono_mul` the plain sorted
-merge; neither shares code with `polys._mul_terms` or the concatenation fast
-path of `polys.mono_mul`.  `unfiltered_precheck` checks f and h on the
+merge; neither shares code with `polys._mul_terms` or the packed-key
+arithmetic of `polys.mono_mul`.  `unfiltered_precheck` checks f and h on the
 aligned multiples of every basis vector.  The proof reports are compared on
 the shipped tables, the criterion-10 mutations and seeded one-monomial table
 edits made by a generator local to this file.

@@ -7,33 +7,36 @@ exactly what `_native` returns: the same violation count, first failing
 trial and witness, because every lane consumes the same xorshift-star
 stream and evaluates the same law of `_native.LAWS`, on bit planes.
 
-Blocks, groups and trials: each lane holds one block of consecutive draws
-of the stream ("e" a 19-trit element, "t" a 9-trit tail on coordinates
-11..19), lane L the L-th block.  A law that reads k draws per trial, run on
-a block of r*k draws, has r groups: group g of lane L is trial r*L + g and
-reads draws g*k .. g*k + k - 1 of the block.  `sweep` runs one law on its
-own layout, so r = 1 and lane L is trial L.  `sweep_many` draws the
-element stream once for all the laws that read only elements, on a block
-of 6 elements: Moufang (k = 3) has 2 groups, the alternative and flexible
-laws (k = 2) 3 each and the inverse law (k = 1) 6.  Each group is masked to
-the lanes whose trial is below the budget; the first failing trial is the
-least over all groups, and the witness is read from that group's lane.
-`tail_central` draws a tail and keeps its own layout "et".
+One block for every law: each lane holds BLOCK consecutive trits of the
+stream, lane L the L-th block.  A trial draws its law's layout ("e" a
+19-trit element, "t" a 9-trit tail on coordinates 11..19), so it reads w
+trits: 57 for Moufang, 38 for each alternative law and flexibility, 19 for
+the inverse law and 28 for `tail_central`.  BLOCK = lcm(57, 38, 19, 28) =
+1596 is the least block that every w divides, so every law's trials tile a
+lane exactly: a law has r = BLOCK / w groups per lane (28, 42, 42, 42, 84
+and 57), and group g of lane L is trial r*L + g, reading trits
+g*w .. g*w + w - 1 of the block.  One draw per chunk therefore serves every
+law, and since all sweeps restart from one seed, `sweep_many` evaluates all
+of them on it.  Each group is masked to the lanes whose trial is below the
+budget; the first failing trial is the least over all groups, and the
+witness is read from that group's lane.
 
-Stream: lane L starts at the seed advanced by L times the block's draw
-count.  Lane start states come from that jump-ahead, a GF(2)-linear map of
-the 64-bit state (Haramoto et al. 2008) applied as eight 256-entry byte
-tables; then every lane steps together inside one int that gives each lane
-a 128-bit slot, so the 126-bit product by the multiplier cannot spill into
-the next lane.  The tables are built the same way, by stepping the 64 unit
-vectors together in one packed int.
+Stream: lane L starts at the seed advanced by L*BLOCK steps.  Lane start
+states come from that jump-ahead, a GF(2)-linear map of the 64-bit state
+(Haramoto et al. 2008) applied as eight 256-entry byte tables; then every
+lane steps together inside one int that gives each lane a 128-bit slot, so
+the 126-bit product by the multiplier cannot spill into the next lane.
+The tables are built the same way, by stepping the 64 unit vectors
+together in one packed int, or for an even stride from the tables of half
+of it.
 
 Arithmetic: a column of trits, one per lane, is two bit-plane ints
 (Boothby & Bradshaw 2009): `nz` has bit i set when lane i's trit is nonzero
 and `sg` when it is 2.  GF(3) addition costs six big-int operations and
 multiplication three, so one product of the loop evaluates the flattened
 f table for every lane at once.  The r groups of a law are stacked side by
-side into planes r lanes-widths wide, so one evaluation covers them all.
+side into planes r lane-widths wide, so one evaluation covers them all;
+laws of one layout share the stacked planes.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from time import perf_counter
 from . import _native
 from ._native import LAWS, RNG_MULTIPLIER, _check_names, _check_seed
 
-# Trials evaluated together; the memory of one sweep is bounded by it.
+# Lanes drawn and evaluated together; the memory of a pass is bounded by it.
 CHUNK = 2048
 
 _SLOT = 16                             # bytes per lane in the packed state
@@ -152,27 +155,41 @@ def _advance(s, low):
     return s & low
 
 
+def _jump(tables, state):
+    """`state` advanced by the stride of `tables` (see `_jump_tables`)."""
+    t0, t1, t2, t3, t4, t5, t6, t7 = tables
+    b0, b1, b2, b3, b4, b5, b6, b7 = state.to_bytes(8, "little")
+    return (t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3]
+            ^ t4[b4] ^ t5[b5] ^ t6[b6] ^ t7[b7])
+
+
 @lru_cache(maxsize=None)
 def _jump_tables(stride):
     """Byte tables of the state map `stride` steps ahead.
 
     The step is linear over GF(2), so the image of a state is the XOR of
     the images of its set bits; table b maps byte b of the state to the XOR
-    of the images of that byte's bits.  The 64 unit vectors step together
-    as the lanes of one packed int.
+    of the images of that byte's bits.  An even stride maps each unit
+    vector twice by the tables of half the stride, so BLOCK = 4 * 399 takes
+    399 steps; otherwise the 64 unit vectors step together as the lanes of
+    one packed int.
     """
-    s, low = _packed(1 << bit for bit in range(64)), _slot_mask(64, 0xff)
-    for _ in range(stride):
-        s = _advance(s, low)
-    raw = s.to_bytes(_SLOT * 64, "little")
-    cols = [int.from_bytes(raw[_SLOT * bit:_SLOT * bit + 8], "little")
-            for bit in range(64)]
+    if stride > 1 and stride % 2 == 0:
+        half = _jump_tables(stride // 2)
+        cols = [_jump(half, half[bit >> 3][1 << (bit & 7)])
+                for bit in range(64)]
+    else:
+        s, low = _packed(1 << bit for bit in range(64)), _slot_mask(64, 0xff)
+        for _ in range(stride):
+            s = _advance(s, low)
+        raw = s.to_bytes(_SLOT * 64, "little")
+        cols = [int.from_bytes(raw[_SLOT * bit:_SLOT * bit + 8], "little")
+                for bit in range(64)]
     tables = []
     for b in range(8):
-        t = [0] * 256
-        for v in range(1, 256):
-            low = v & -v
-            t[v] = t[v ^ low] ^ cols[8 * b + low.bit_length() - 1]
+        t = [0]
+        for col in cols[8 * b:8 * b + 8]:
+            t += [v ^ col for v in t]
         tables.append(tuple(t))
     return tuple(tables)
 
@@ -184,15 +201,12 @@ def draw_columns(state, lanes, stride):
     after the last lane's draws.  Lane i's trits equal draws
     i*stride .. (i+1)*stride - 1 of `_native.random_element`'s stream.
     """
-    t0, t1, t2, t3, t4, t5, t6, t7 = _jump_tables(stride)
+    tables = _jump_tables(stride)
     packed = bytearray()
     for _ in range(lanes):
-        b = state.to_bytes(8, "little")
-        packed += b
+        packed += state.to_bytes(8, "little")
         packed += _PAD
-        b0, b1, b2, b3, b4, b5, b6, b7 = b
-        state = (t0[b0] ^ t1[b1] ^ t2[b2] ^ t3[b3]
-                 ^ t4[b4] ^ t5[b5] ^ t6[b6] ^ t7[b7])
+        state = _jump(tables, state)
     s = int.from_bytes(packed, "little")
     low, nibbles = _slot_mask(lanes, 0xff), _slot_mask(lanes, 0x0f)
     cols = []
@@ -213,32 +227,35 @@ def draw_columns(state, lanes, stride):
 
 # -- the sweeps ----------------------------------------------------------------
 
-def _elements(cols, layout):
-    """Split a chunk's columns into the drawn elements, per the layout."""
+def _width(layout):
+    """Trits a trial of this layout reads."""
+    return sum(_DRAW_WIDTH[kind] for kind in layout)
+
+
+# Trits per lane: the least block that the trials of every law tile.
+BLOCK = lcm(*(_width(law.layout) for law in LAWS.values()))
+
+
+def _stack(cols, layout, width):
+    """A layout's drawn elements for every group of a chunk, stacked.
+
+    A trial reads w = _width(layout) trits, so column j of group g is
+    cols[g*w + j].  Each group's column is cut to `width` lanes and put at
+    bit g*width; the stacked columns are then split per the layout.
+    """
+    w, keep = _width(layout), (1 << width) - 1
+    stacked = []
+    for j in range(w):
+        nz = sg = 0
+        for a, b in reversed(cols[j::w]):
+            nz = (nz << width) | (a & keep)
+            sg = (sg << width) | (b & keep)
+        stacked.append((nz, sg))
     out, at = [], 0
     for kind in layout:
-        width = _DRAW_WIDTH[kind]
-        out.append(tuple(cols[at:at + width]) if kind == "e"
-                   else (_ZERO,) * 10 + tuple(cols[at:at + width]))
-        at += width
-    return out
-
-
-def _stack(groups, width):
-    """Each group's elements cut to `width` lanes, group g at bit g*width."""
-    if len(groups) == 1:
-        return groups[0]
-    keep = (1 << width) - 1
-    out = []
-    for elems in zip(*groups):
-        coords = []
-        for planes in zip(*elems):
-            nz = sg = 0
-            for a, b in reversed(planes):
-                nz = (nz << width) | (a & keep)
-                sg = (sg << width) | (b & keep)
-            coords.append((nz, sg))
-        out.append(tuple(coords))
+        part = tuple(stacked[at:at + _DRAW_WIDTH[kind]])
+        out.append(part if kind == "e" else (_ZERO,) * 10 + part)
+        at += _DRAW_WIDTH[kind]
     return out
 
 
@@ -255,33 +272,22 @@ def _first_failure(bad, groups, width, start):
     return first
 
 
-def _passes(names):
-    """(block, names) per pass over the stream: the laws that read only
-    elements share one block, each other law runs alone on its layout."""
-    shared = tuple(n for n in names if set(LAWS[n].layout) == {"e"})
-    alone = [(LAWS[n].layout, (n,)) for n in names if n not in shared]
-    if not shared:
-        return alone
-    block = "e" * lcm(*(len(LAWS[n].layout) for n in shared))
-    return [(block, shared)] + alone
-
-
 class LoopKernel(_native.LoopKernel):
     """`_native.LoopKernel` whose sweeps run CHUNK lanes per pass."""
 
     def sweep(self, name, seed, trials):
         """Run a named identity sweep; see `_native.LoopKernel.sweep`."""
-        _check_names((name,))
-        _check_seed(seed)
-        results, _ = self._drive(LAWS[name].layout, (name,), seed, trials)
+        results, _ = self.sweep_many((name,), seed, trials)
         return results[name]
 
     def sweep_many(self, names, seed, trials):
-        """Several sweeps from one seed, each shared stream drawn once.
+        """Several sweeps from one seed, on one draw of the stream.
 
-        Returns (results, seconds), both keyed by name: what `sweep`
-        returns, and the seconds of the passes attributed to the sweep
-        (see `_drive`), which sum to the wall time of the passes.
+        Returns (results, seconds), both keyed by name: what
+        `_native.LoopKernel.sweep` returns, and per law its own evaluation
+        time plus a share of the rest of the pass (the draws and the
+        stacking) in proportion to the trits its trials read, so the
+        seconds sum to the wall time of the pass.
         """
         names = tuple(names)
         _check_names(names)
@@ -290,61 +296,46 @@ class LoopKernel(_native.LoopKernel):
         _check_seed(seed)
         if trials < 0:
             raise ValueError("trials must be >= 0")
-        results, seconds = {}, {}
-        for block, group in _passes(names):
-            r, s = self._drive(block, group, seed, trials)
-            results.update(r)
-            seconds.update(s)
-        return ({n: results[n] for n in names},
-                {n: seconds[n] for n in names})
-
-    def _drive(self, block, names, seed, trials):
-        """Sweep the named laws over one stream of `block` draws per lane.
-
-        Every law's layout must tile the block.  Returns the results and,
-        per law, its own evaluation time plus a share of the rest of the
-        pass (the draws) in proportion to the draws its trials read.
-        """
         t_pass = perf_counter()
         laws = []
         for name in names:
             _, layout, lhs, rhs = LAWS[name]
-            laws.append((name, len(layout), len(block) // len(layout),
-                         lhs, rhs))
+            laws.append((name, layout, BLOCK // _width(layout), lhs, rhs))
         lanes_needed = max(-(-trials // r) for _, _, r, _, _ in laws)
-        stride = sum(_DRAW_WIDTH[kind] for kind in block)
         found = {name: [0, -1, None] for name in names}
         own = dict.fromkeys(names, 0.0)
         state = seed
         for start in range(0, lanes_needed, CHUNK):
             lanes = min(CHUNK, lanes_needed - start)
-            cols, state = draw_columns(state, lanes, stride)
-            drawn = _elements(cols, block)
-            for name, k, r, lhs, rhs in laws:
-                t0 = perf_counter()
+            cols, state = draw_columns(state, lanes, BLOCK)
+            stacked = {}
+            for name, layout, r, lhs, rhs in laws:
                 # lanes of this chunk whose group-g trial is in the budget
                 counts = [min(lanes, -(-(trials - g) // r) - start)
                           for g in range(r)]
                 width = counts[0]
-                if width > 0:
-                    xs = _stack([drawn[g * k:(g + 1) * k] for g in range(r)],
-                                width)
-                    mask = 0
-                    for g, n in enumerate(counts):
-                        if n > 0:
-                            mask |= ((1 << n) - 1) << (g * width)
-                    p = _Planes(self._f, self._h, (1 << (r * width)) - 1)
-                    bad = _differ(lhs(p, *xs), rhs(p, *xs)) & mask
-                    if bad:
-                        entry = found[name]
-                        entry[0] += bad.bit_count()
-                        if entry[1] < 0:
-                            entry[1], bit = _first_failure(bad, r, width,
-                                                           start)
-                            entry[2] = tuple(lane_trits(x, bit) for x in xs)
+                if width <= 0:
+                    continue
+                # laws of one layout have the same r, so the same width
+                if layout not in stacked:
+                    stacked[layout] = _stack(cols, layout, width)
+                xs = stacked[layout]
+                t0 = perf_counter()
+                mask = 0
+                for g, n in enumerate(counts):
+                    if n > 0:
+                        mask |= ((1 << n) - 1) << (g * width)
+                p = _Planes(self._f, self._h, (1 << (r * width)) - 1)
+                bad = _differ(lhs(p, *xs), rhs(p, *xs)) & mask
+                if bad:
+                    entry = found[name]
+                    entry[0] += bad.bit_count()
+                    if entry[1] < 0:
+                        entry[1], bit = _first_failure(bad, r, width, start)
+                        entry[2] = tuple(lane_trits(x, bit) for x in xs)
                 own[name] += perf_counter() - t0
         rest = perf_counter() - t_pass - sum(own.values())
-        reads = sum(k for _, k, _, _, _ in laws)
-        seconds = {name: own[name] + rest * k / reads
-                   for name, k, _, _, _ in laws}
+        reads = sum(_width(layout) for _, layout, _, _, _ in laws)
+        seconds = {name: own[name] + rest * _width(layout) / reads
+                   for name, layout, _, _, _ in laws}
         return {name: tuple(found[name]) for name in names}, seconds

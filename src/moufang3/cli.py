@@ -4,7 +4,7 @@ Exit codes: 0 all checks passed, 1 a verification/computation failed,
 2 usage or parse error.  Reports are deterministic for a fixed command and
 seed; the per-check millisecond timings are the only varying fields.  A
 sweep row's `millis` is its share of the one pass that runs all six
-sweeps (see `run_verification`).
+sweeps, `tail_central` included, on one draw (see `run_verification`).
 
 The default seed (42) and trial budget (1000000) can be overridden with the
 environment variables MOUFANG3_SEED and MOUFANG3_TRIALS; explicit flags win

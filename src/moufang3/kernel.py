@@ -1,7 +1,7 @@
 """The evaluation kernel, pure Python throughout.
 
 Products, inverses and single draws are `_native`'s scalar reference;
-identity sweeps run CHUNK trials at a time on bit planes (`_batch`).
+identity sweeps run CHUNK lanes at a time on bit planes (`_batch`).
 """
 
 from ._batch import LoopKernel

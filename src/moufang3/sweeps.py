@@ -7,14 +7,15 @@ proof).  Alternativity and flexibility are swept in product form, e.g.
 (x o x) o y = x o (x o y), which is the same statement as the triviality of
 the corresponding associator but avoids divisions in the hot loop.
 
-Sweeps restart from the same seed, so the element-only laws read one
-stream of elements.  `SharedSweeps` runs several sweeps of one loop, seed
-and budget in a single kernel pass that draws that stream once; passed as
+Sweeps restart from the same seed, so all six laws read one stream.
+`SharedSweeps` runs the sweeps of one loop, seed and budget in a single
+kernel pass that draws that stream once; passed as
 `run_sweep(..., shared=...)` it gives each sweep the result it would get on
 its own.  Its `seconds` split the pass's wall time between the sweeps: each
 gets its own evaluation plus a share of the shared draws in proportion to
-the elements its trials read (3:2:2:2:1 for Moufang, the two alternative
-laws, flexibility and the inverse law), so the shares sum to the pass.
+the trits its trials read (57:38:38:38:19:28 for Moufang, the two
+alternative laws, flexibility, the inverse law and tail centrality), so the
+shares sum to the pass.
 """
 
 from __future__ import annotations

@@ -151,7 +151,8 @@ def nonzero_point(p: Poly) -> dict:
     """
     if p.is_zero():
         raise ValueError("the zero polynomial vanishes everywhere")
-    assignment = dict.fromkeys(p.variables(), 0)
+    # sorted, so the refutation's repr is the same in every process
+    assignment = dict.fromkeys(sorted(p.variables()), 0)
     lead = next(iter(p.terms()))[0]
     trial = dict(assignment)
     for v, _ in lead:

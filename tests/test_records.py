@@ -8,7 +8,11 @@ outputs are pinned to the values the reports have always had.
 """
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +135,26 @@ def test_refutation_and_proof_report_json(records, sym):
         "details": {"power_precheck": "pass"},
     }
 
+
+
+def test_refutation_repr_is_the_same_in_every_process():
+    # the assignment is ordered by variable, not by the string hashes of a
+    # set, so two processes with different hash seeds print the same repr
+    tests = Path(__file__).resolve().parent
+    probe = (f"import sys; sys.path.insert(0, {str(tests)!r}); "
+             "from test_records import refuted_moufang; "
+             "w = refuted_moufang().witness; print(repr(w)); "
+             "print(list(w.assignment) == sorted(w.assignment))")
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(tests.parent / "src"))
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        outs.append(done.stdout.splitlines())
+    assert outs[0] == outs[1]
+    assert outs[0][1] == "True"
 
 @pytest.mark.parametrize("copier", [lambda x: pickle.loads(pickle.dumps(x)),
                                     copy.deepcopy], ids=["pickle", "deepcopy"])

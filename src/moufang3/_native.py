@@ -4,8 +4,9 @@
 reference that `moufang3._batch`'s bit-sliced sweeps are tested against.
 `LAWS` writes each swept law once, over an ops object that provides
 `mul`, `inv`, `add` and `identity`: the scalar sweep here reads it with
-plain elements, `_batch` with bit planes.  Elements are 19-tuples of GF(3)
-residues.
+plain elements (`LoopKernel.ops`), `_batch` with bit planes and
+`symbolic.SymbolicLoop.prove_law` with polynomial coordinates.  Elements
+are 19-tuples of GF(3) residues.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ class Law(NamedTuple):
     rhs: Callable
 
 
+def _both_products_with_inverse(k, x):
+    w = k.inv(x)
+    return k.mul(x, w) + k.mul(w, x)
+
+
 LAWS = {
     "moufang": Law("(x*y)*(z*x) = (x*(y*z))*x", "eee",
                    lambda k, x, y, z: k.mul(k.mul(x, y), k.mul(z, x)),
@@ -46,8 +52,7 @@ LAWS = {
     "flexible": Law("(x*y)*x = x*(y*x)", "ee",
                     lambda k, x, y: k.mul(k.mul(x, y), x),
                     lambda k, x, y: k.mul(x, k.mul(y, x))),
-    "inverse": Law("x*x^-1 = x^-1*x = 1", "e",
-                   lambda k, x: k.mul(x, k.inv(x)) + k.mul(k.inv(x), x),
+    "inverse": Law("x*x^-1 = x^-1*x = 1", "e", _both_products_with_inverse,
                    lambda k, x: k.identity + k.identity),
     "tail_central": Law("z supported on 11..19 implies x*z = z*x = x+z", "et",
                         lambda k, x, z: k.mul(x, z) + k.mul(z, x),
@@ -100,14 +105,17 @@ class LoopKernel:
     def __init__(self, f_flat, h_flat):
         self._f = [tuple(terms) for terms in f_flat]
         self._h = [tuple(terms) for terms in h_flat]
-        for terms in self._f:
-            for _, codes in terms:
-                if any(not 0 <= c < 20 for c in codes):
-                    raise ValueError("f-table factor code out of range")
-        for terms in self._h:
-            for _, codes in terms:
-                if any(not 0 <= c < 10 for c in codes):
-                    raise ValueError("h-table factor code out of range")
+        for name, table, n in (("f", self._f, 20), ("h", self._h, 10)):
+            for terms in table:
+                if any(not 0 <= c < n for _, codes in terms for c in codes):
+                    raise ValueError(f"{name}-table factor code out of range")
+
+    @property
+    def ops(self):
+        """The unchecked ops that sweeps and refutations read `LAWS` with;
+        not stored, as bound methods on self would make a reference cycle."""
+        return SimpleNamespace(mul=self._mul, inv=self._inv, add=_add,
+                               identity=_IDENTITY)
 
     def mul(self, x, y):
         x = _check_element(x)
@@ -170,9 +178,7 @@ class LoopKernel:
         """
         _check_names((name,))
         _check_seed(seed)
-        law = LAWS[name]
-        ops = SimpleNamespace(mul=self._mul, inv=self._inv, add=_add,
-                              identity=_IDENTITY)
+        law, ops = LAWS[name], self.ops
         draws = [self.random_element if kind == "e" else self._random_tail
                  for kind in law.layout]
         s = seed

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import __version__, kernel, subloops, sweeps, tables
 from .errors import (AmbiguousBracketing, LoopLawError, OrderNotFoundWithinCap,
-                     ParseError, ValidationFailure, ZeroSeed)
+                     ParseError, ValidationFailure)
 from .loop import (Element, Loop, basis, default_loop, format_element,
                    identity, parse_element)
 from .symbolic import SymbolicLoop
@@ -40,6 +40,7 @@ PROOFS = {"identity": "prove_identity_law", "inverse": "prove_inverse_law",
 
 _DENSE_RE = re.compile(r"\(\s*[0-2](?:\s*,\s*[0-2]){18}\s*\)")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|0")
+_PUNCTUATION = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", "*": "STAR"}
 
 
 def _tokenize(text):
@@ -50,22 +51,12 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch == "(":
-            m = _DENSE_RE.match(text, i)
-            if m:
-                tokens.append(("DENSE", m.group(), i))
-                i = m.end()
-                continue
-            tokens.append(("LPAREN", ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(("RPAREN", ch, i))
-            i += 1
-        elif ch == ",":
-            tokens.append(("COMMA", ch, i))
-            i += 1
-        elif ch == "*":
-            tokens.append(("STAR", ch, i))
+        m = _DENSE_RE.match(text, i) if ch == "(" else None
+        if m:
+            tokens.append(("DENSE", m.group(), i))
+            i = m.end()
+        elif ch in _PUNCTUATION:
+            tokens.append((_PUNCTUATION[ch], ch, i))
             i += 1
         elif ch == "^":
             if text[i:i + 3] != "^-1":
@@ -185,7 +176,12 @@ def eval_expression(text: str, loop: Loop | None = None) -> Element:
         return parse_element(text)
     except ParseError:
         pass
-    return _ExprParser(text, lp).parse()
+    parser = _ExprParser(text, lp)
+    try:
+        return parser.parse()
+    except RecursionError:     # one parser frame per nesting level
+        pos = parser.tokens[min(parser.pos, len(parser.tokens) - 1)][2]
+        raise ParseError("expression nested too deeply", pos) from None
 
 
 # -- the verification report --------------------------------------------------
@@ -501,18 +497,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"moufang3: {exc}", file=sys.stderr)
-        return 2
-    except (ZeroSeed, ValueError) as exc:
+    except (ValueError, OSError) as exc:
+        # usage errors: a bad value, expression or seed, or an unreadable table
         print(f"moufang3: {exc}", file=sys.stderr)
         return 2
     except (LoopLawError, ValidationFailure, OrderNotFoundWithinCap) as exc:
         print(f"moufang3: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # a missing, unreadable or non-file table
-        print(f"moufang3: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

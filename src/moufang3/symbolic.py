@@ -17,6 +17,13 @@ refuted verdict comes with a concrete counterexample assignment, extracted
 from a surviving monomial and re-checked through the concrete kernel, so a
 symbolic failure is always reproducible as a loop computation.
 
+`prove_law` reads the swept laws, Moufang and the inverse law among them,
+from `_native.LAWS` with ops over 19-tuples of polynomials: `mul` and `inv`
+are `SymbolicLoop.mul` and `inverse`, `add` is coordinatewise, `identity`
+19 zero polynomials.  Layout position i draws block "xyz"[i], a "t" as a
+generic tail (variables at 11..19 only).  A refutation's witness evaluates
+the same law on the kernel's `ops`.
+
 The proofs double as transcription insurance: it is the x^3 = x reduction,
 not goodwill, that makes a single corrupted monomial surface as a nonzero
 difference coordinate (the mutation tests exercise exactly that).
@@ -25,10 +32,12 @@ difference coordinate (the mutation tests exercise exactly that).
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 from typing import Mapping, NamedTuple, Sequence
 
 from . import loop as loop_mod
 from . import kernel
+from ._native import LAWS
 from .errors import CanonicalFormBroken, DivisionCheckFailed
 from .loop import Element, Loop, basis, default_loop
 from .polys import Poly, Var, flatten_polys
@@ -191,11 +200,11 @@ class ConsistencyReport(NamedTuple):
         return self.mismatches == 0
 
 
-def _telemetry(*sides: SymElement) -> dict:
+def _telemetry(*sides: Sequence[Poly]) -> dict:
     counts = []
     max_degree = 0
-    for s in sides:
-        for p in s.coords:
+    for side in sides:
+        for p in side:
             counts.append(p.term_count())
             max_degree = max(max_degree, p.total_degree())
     return {
@@ -230,43 +239,38 @@ class SymbolicLoop:
 
     # -- proofs -------------------------------------------------------------
 
-    def prove_moufang(self) -> ProofReport:
-        """(x o y) o (z o x) = (x o (y o z)) o x over three generic elements.
-
-        A proved verdict is a complete proof over all 3^57 concrete triples.
-        """
+    def prove_law(self, name: str) -> ProofReport:
+        """The swept law `_native.LAWS[name]` on generic elements."""
         t0 = time.perf_counter()
-        x, y, z = generic("x"), generic("y"), generic("z")
-        lhs = self.mul(self.mul(x, y), self.mul(z, x))
-        rhs = self.mul(self.mul(x, self.mul(y, z)), x)
-        diffs = [lhs.coords[k] - rhs.coords[k] for k in range(N)]
+        law = LAWS[name]
+        blocks = "xyz"[:len(law.layout)]
+        drawn = [generic(b).coords if kind == "e"
+                 else (Poly.zero(),) * _HEAD + generic(b).coords[_HEAD:]
+                 for kind, b in zip(law.layout, blocks)]
+        ops = SimpleNamespace(
+            mul=lambda a, b: self.mul(SymElement(a), SymElement(b)).coords,
+            inv=lambda a: self.inverse(SymElement(a)).coords,
+            add=lambda a, b: tuple(map(Poly.__add__, a, b)),
+            identity=(Poly.zero(),) * N)
+        lhs, rhs = law.lhs(ops, *drawn), law.rhs(ops, *drawn)
 
         def concrete(elems):
-            m = self.loop.mul
-            ex, ey, ez = elems["x"], elems["y"], elems["z"]
-            return (m(m(ex, ey), m(ez, ex)), m(m(ex, m(ey, ez)), ex))
+            k, args = self.loop._kernel.ops, [elems[b] for b in blocks]
+            # a joined side is split back into its 19-tuples
+            return [side if len(side) == N else (side[:N], side[N:])
+                    for side in (law.lhs(k, *args), law.rhs(k, *args))]
 
-        return self._report("moufang", diffs, ("x", "y", "z"), concrete,
+        diffs = [p - q if q else p for p, q in zip(lhs, rhs)]  # skip zero q
+        return self._report(name, diffs, blocks, concrete,
                             _telemetry(lhs, rhs), t0)
+
+    def prove_moufang(self) -> ProofReport:
+        """(x o y) o (z o x) = (x o (y o z)) o x over all 3^57 triples."""
+        return self.prove_law("moufang")
 
     def prove_inverse_law(self) -> ProofReport:
         """x o x^-1 = x^-1 o x = identity in the 19 x-variables."""
-        t0 = time.perf_counter()
-        x = generic("x")
-        w = self.inverse(x)
-        left = self.mul(x, w)
-        right = self.mul(w, x)
-        diffs = list(left.coords) + list(right.coords)
-
-        def concrete(elems):
-            ex = elems["x"]
-            raw = self.loop._kernel.inv(ex)
-            bad_left = self.loop._kernel.mul(ex, raw)
-            bad_right = self.loop._kernel.mul(raw, ex)
-            return ((bad_left, bad_right), (loop_mod.identity(), loop_mod.identity()))
-
-        return self._report("inverse-law", diffs, ("x",), concrete,
-                            _telemetry(left, right), t0)
+        return self.prove_law("inverse")._replace(claim="inverse-law")
 
     def prove_identity_law(self) -> ProofReport:
         """0 o x = x o 0 = x as polynomial identities."""
@@ -284,7 +288,7 @@ class SymbolicLoop:
             return ((m(loop_mod.identity(), ex), m(ex, loop_mod.identity())), (ex, ex))
 
         return self._report("identity-law", diffs, ("x",), concrete,
-                            _telemetry(left, right), t0)
+                            _telemetry(left.coords, right.coords), t0)
 
     def prove_normal_form(self) -> ProofReport:
         """The left-nested product e_1^t1 o e_2^t2 o ... o e_19^t19 equals
@@ -313,7 +317,7 @@ class SymbolicLoop:
         diffs = [acc.coords[k2] - target.coords[k2] for k2 in range(N)]
         report = self._report("normal-form", diffs, ("t",),
                               self._normal_form_concrete,
-                              _telemetry(acc), t0, details=details)
+                              _telemetry(acc.coords), t0, details=details)
         if precheck_failures and report.proved:
             # the generic product only stands for integer powers when the
             # precheck holds, so a failed precheck refutes the claim
@@ -361,20 +365,18 @@ class SymbolicLoop:
     def _report(self, claim, diffs, blocks, concrete, telemetry, t0,
                 details=None) -> ProofReport:
         nonzero = [i for i, d in enumerate(diffs) if not d.is_zero()]
-        diff_counts = [d.term_count() for d in diffs]
-        telemetry = dict(telemetry)
-        telemetry["diff_terms"] = sum(diff_counts)
+        telemetry = dict(telemetry,
+                         diff_terms=sum(d.term_count() for d in diffs))
         witness = None
         if nonzero:
             pos = nonzero[0]
-            coord = pos % N + 1
             point = nonzero_point(diffs[pos])
             elements = {}
             for b in blocks:
                 elements[b] = tuple(point.get(Var(b, i), 0)
                                     for i in range(1, N + 1))
-            lhs, rhs = concrete(elements)
-            witness = Refutation(coord, point, elements, lhs, rhs)
+            witness = Refutation(pos % N + 1, point, elements,
+                                 *concrete(elements))
         millis = 1000.0 * (time.perf_counter() - t0)
         coords = tuple(sorted({i % N + 1 for i in nonzero}))
         return ProofReport(claim, not nonzero, coords, telemetry, millis,

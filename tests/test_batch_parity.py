@@ -39,26 +39,33 @@ def test_sweeps_match_reference(mutation, name):
                 ref.sweep(name, seed, trials), (seed, trials)
 
 
-def test_first_failure_in_a_later_chunk():
+def test_first_failure_in_a_later_chunk(monkeypatch):
     # a monomial in all 20 head variables breaks flexibility only where
-    # every head coordinate of both factors is nonzero, so the first
-    # failure at this seed comes from a lane of the second chunk
+    # every head coordinate of both factors is nonzero; at this seed the
+    # first failure is trial 2573, in lane 61 of 42 flexibility trials
+    # each, so a CHUNK of 32 lanes puts it in the second chunk
+    monkeypatch.setattr(_batch, "CHUNK", 32)
     f, h = flat_tables()
     f[18] = f[18] + [(1, tuple(range(20)))]
     ref, fast = _native.LoopKernel(f, h), _batch.LoopKernel(f, h)
-    got = fast.sweep("flexible", 2, 2 * CHUNK)
-    assert got == ref.sweep("flexible", 2, 2 * CHUNK)
-    assert got[1] >= CHUNK, got
+    trials = 2 * 42 * _batch.CHUNK
+    got = fast.sweep("flexible", 2, trials)
+    assert got == ref.sweep("flexible", 2, trials)
+    assert got[1] // 42 >= _batch.CHUNK, got
 
 
 @pytest.mark.parametrize("name", _native.SWEEP_NAMES)
-def test_constant_monomials_match_reference(name):
-    # a constant term is the all-lanes plane; the last chunk has one lane
+def test_constant_monomials_match_reference(monkeypatch, name):
+    # a constant term is the all-lanes plane; r * CHUNK + 1 trials of a law
+    # of r trials per lane leave one lane in the last chunk
+    from test_shared_sweeps import GROUPS
+    monkeypatch.setattr(_batch, "CHUNK", 2)
     f, h = flat_tables()
     f[18] = f[18] + [(1, ())]
     h[18] = h[18] + [(2, ())]
     ref, fast = _native.LoopKernel(f, h), _batch.LoopKernel(f, h)
-    assert fast.sweep(name, 42, CHUNK + 1) == ref.sweep(name, 42, CHUNK + 1)
+    trials = GROUPS[name] * _batch.CHUNK + 1
+    assert fast.sweep(name, 42, trials) == ref.sweep(name, 42, trials)
 
 
 def drain(seed, count):

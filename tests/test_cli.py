@@ -82,6 +82,16 @@ def test_eval_bad_expressions_exit_2(capsys, expr):
     assert err.startswith("moufang3:")
 
 
+def test_eval_deep_nesting_exits_2_without_traceback(capsys):
+    code, out, _ = run(capsys, "eval", "(" * 100 + "e1" + ")" * 100)
+    assert code == 0 and out.strip() == "(1" + ",0" * 18 + ")"
+    for expr in ("(" * 2000 + "e1" + ")" * 2000,
+                 "comm(" * 2000 + "e1" + ",e2)" * 2000):
+        code, out, err = run(capsys, "eval", expr)
+        assert code == 2 and out == ""
+        assert one_line_error(err) and "nested too deeply" in err
+
+
 def test_expression_errors_carry_positions(loop):
     with pytest.raises(AmbiguousBracketing):
         eval_expression("e1*e2*e3", loop)

@@ -1,14 +1,14 @@
 """One draw for several sweeps: the shared pass must give each sweep its own
 result.
 
-`_batch.LoopKernel.sweep_many` draws the element stream once, six elements
-per lane, and evaluates the five element-only laws on it; `_native` runs
-one law at a time and is the reference.  The reference for a budget of T
+`_batch.LoopKernel.sweep_many` draws the stream once, one block of trits
+per lane, and evaluates the six laws on it; `_native` runs one law at a
+time and is the reference.  The reference for a budget of T
 trials is read off per-trial verdicts, each a one-trial `_native` sweep
 started at that trial's state, so every budget up to the largest costs one
 scalar pass.  Most cases lower CHUNK to SMALL_CHUNK, which keeps budgets of
-several chunks cheap for the scalar reference; one mutated table runs at
-the real CHUNK.
+more than one chunk of lanes cheap for the scalar reference; one mutated
+table runs at the real CHUNK.
 """
 
 import io
@@ -25,19 +25,22 @@ from test_acceptance import MUTATIONS
 from test_batch_parity import SEEDS, flat_tables
 
 NAMES = _native.SWEEP_NAMES
-SMALL_CHUNK = 16
+SMALL_CHUNK = 2
 # what each law draws per trial, written out here rather than read from
 # the kernels: "e" a 19-trit element, "t" a tail on coordinates 11..19
 LAYOUTS = {"moufang": "eee", "left_alternative": "ee",
            "right_alternative": "ee", "flexible": "ee", "inverse": "e",
            "tail_central": "et"}
-GROUPS = {"moufang": 2, "left_alternative": 3, "right_alternative": 3,
-          "flexible": 3, "inverse": 6}
+# trials per lane: a lane holds 1596 trits, and a trial reads its layout
+GROUPS = {name: 1596 // sum(19 if kind == "e" else 9 for kind in layout)
+          for name, layout in LAYOUTS.items()}
 
 
 def budgets(chunk):
+    # around the first chunk boundary in lanes of every law: a law of r
+    # trials per lane needs chunk + 1 lanes for r * chunk + 1 trials
     return (0, 1, 2, 3, 5, 6, 7) + tuple(
-        m * chunk + d for m in (2, 3, 6) for d in (-1, 1))
+        r * chunk + d for r in sorted(set(GROUPS.values())) for d in (-1, 1))
 
 
 def verdicts(ref, name, seed, trials):
@@ -90,8 +93,8 @@ def test_shared_pass_matches_reference(monkeypatch, mutation, seed):
 def test_shared_pass_matches_reference_at_full_chunk():
     # this mutation breaks all five element-only laws
     mutation = next(m for m in MUTATIONS if m[0] == "f5 swapped variable")
-    check_budgets(flat_tables(mutation), 42,
-                  budgets(_batch.CHUNK)[7:], NAMES[:5])
+    check_budgets(flat_tables(mutation), 42, tuple(
+        m * _batch.CHUNK + d for m in (2, 3, 6) for d in (-1, 1)), NAMES[:5])
 
 
 @pytest.mark.parametrize("name,seed", [("moufang", 1), ("inverse", 4)])
@@ -99,7 +102,7 @@ def test_first_failure_in_a_later_group_of_an_earlier_lane(name, seed):
     # the least failing trial is in group g > 0 of its lane, and group 0
     # fails only in a later lane: the minimum over groups is not the first
     # group that fails
-    flat, r, trials = sparse_table(12), GROUPS[name], 400
+    flat, r, trials = sparse_table(6), GROUPS[name], 400
     per_trial = verdicts(_native.LoopKernel(*flat), name, seed, trials)
     bad = [i for i, w in enumerate(per_trial) if w is not None]
     assert bad[0] % r > 0
@@ -107,15 +110,16 @@ def test_first_failure_in_a_later_group_of_an_earlier_lane(name, seed):
     check_budgets(flat, seed, (trials,))
 
 
-def test_first_failure_in_a_later_block_chunk():
-    # flexibility runs 3 trials per lane; at this seed it first fails past
-    # the first 3 * CHUNK trials, so in the second chunk of blocks
+def test_first_failure_in_a_later_block_chunk(monkeypatch):
+    # flexibility runs 42 trials per lane; at this seed it first fails at
+    # trial 173, in lane 4, so in the second chunk of 4 lanes
+    monkeypatch.setattr(_batch, "CHUNK", 4)
     f, h = sparse_table(20)
-    trials = 6 * _batch.CHUNK
-    got, _ = _batch.LoopKernel(f, h).sweep_many(NAMES[:5], 10, trials)
-    want = _native.LoopKernel(f, h).sweep("flexible", 10, trials)
+    trials = 3 * GROUPS["flexible"] * _batch.CHUNK
+    got, _ = _batch.LoopKernel(f, h).sweep_many(NAMES[:5], 1, trials)
+    want = _native.LoopKernel(f, h).sweep("flexible", 1, trials)
     assert got["flexible"] == want
-    assert want[1] >= 3 * _batch.CHUNK, want
+    assert want[1] // GROUPS["flexible"] >= _batch.CHUNK, want
 
 
 def test_constant_monomials_match_reference(monkeypatch):
@@ -123,7 +127,7 @@ def test_constant_monomials_match_reference(monkeypatch):
     f[18] = f[18] + [(1, ())]
     h[18] = h[18] + [(2, ())]
     monkeypatch.setattr(_batch, "CHUNK", SMALL_CHUNK)
-    check_budgets((f, h), 42, (1, 7, 6 * SMALL_CHUNK + 1))
+    check_budgets((f, h), 42, (1, 7, budgets(SMALL_CHUNK)[-1]))
 
 
 def test_bad_arguments_rejected_before_any_draw(monkeypatch):

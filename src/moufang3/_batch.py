@@ -46,7 +46,7 @@ from math import lcm
 from time import perf_counter
 
 from . import _native
-from ._native import LAWS, RNG_MULTIPLIER, _check_names, _check_seed
+from ._native import LAWS, RNG_MULTIPLIER, _check_sweep
 
 # Lanes drawn and evaluated together; the memory of a pass is bounded by it.
 CHUNK = 2048
@@ -290,12 +290,7 @@ class LoopKernel(_native.LoopKernel):
         seconds sum to the wall time of the pass.
         """
         names = tuple(names)
-        _check_names(names)
-        if len(set(names)) < len(names):
-            raise ValueError(f"duplicate sweep names in {names}")
-        _check_seed(seed)
-        if trials < 0:
-            raise ValueError("trials must be >= 0")
+        _check_sweep(names, seed, trials)
         t_pass = perf_counter()
         laws = []
         for name in names:

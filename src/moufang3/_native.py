@@ -2,16 +2,16 @@
 
 `LoopKernel` evaluates one product, inverse or draw at a time; it is the
 reference that `moufang3._batch`'s bit-sliced sweeps are tested against.
-`LAWS` writes each swept law once, over an ops object that provides
-`mul`, `inv`, `add` and `identity`: the scalar sweep here reads it with
-plain elements (`LoopKernel.ops`), `_batch` with bit planes and
-`symbolic.SymbolicLoop.prove_law` with polynomial coordinates.  Elements
-are 19-tuples of GF(3) residues.
+It trusts its inputs: elements are 19-tuples of GF(3) residues, checked
+once where they enter the package (`loop.Loop`'s public methods and
+`symbolic.embed`), never again here.  `LAWS` writes each swept law once,
+over an ops object that provides `mul`, `inv`, `add` and `identity`: a
+`LoopKernel` is itself such an object, `_batch` passes bit planes and
+`symbolic.SymbolicLoop.prove_law` polynomial coordinates.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 MASK64 = (1 << 64) - 1
@@ -62,25 +62,20 @@ LAWS = {
 SWEEP_NAMES = tuple(LAWS)
 
 
-def _check_names(names):
-    for name in names:
-        if name not in LAWS:
-            raise ValueError(f"unknown sweep {name!r}")
-
-
 def _check_seed(seed):
-    if not 0 <= seed <= MASK64:
+    if not isinstance(seed, int) or not 0 <= seed <= MASK64:
         raise ValueError("rng state must be a 64-bit unsigned integer")
 
 
-def _check_element(x):
-    if len(x) != 19:
-        raise ValueError("element must have 19 coordinates")
-    for v in x:
-        # exactly int: True and 1.0 compare equal to 1 but are no residues
-        if type(v) is not int or v not in (0, 1, 2):
-            raise ValueError(f"coordinate {v!r} is not a GF(3) residue")
-    return tuple(x)
+def _check_sweep(names, seed, trials):
+    for name in names:
+        if name not in LAWS:
+            raise ValueError(f"unknown sweep {name!r}")
+    if len(set(names)) < len(names):
+        raise ValueError(f"duplicate sweep names in {names}")
+    _check_seed(seed)
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
 
 
 def _add(x, y):
@@ -100,7 +95,10 @@ def _trits(state, count):
 
 
 class LoopKernel:
-    """Concrete evaluation of the table-defined product and inverse."""
+    """The tables' product and inverse; also the ops `LAWS` reads on elements."""
+
+    add = staticmethod(_add)
+    identity = _IDENTITY
 
     def __init__(self, f_flat, h_flat):
         self._f = [tuple(terms) for terms in f_flat]
@@ -110,19 +108,7 @@ class LoopKernel:
                 if any(not 0 <= c < n for _, codes in terms for c in codes):
                     raise ValueError(f"{name}-table factor code out of range")
 
-    @property
-    def ops(self):
-        """The unchecked ops that sweeps and refutations read `LAWS` with;
-        not stored, as bound methods on self would make a reference cycle."""
-        return SimpleNamespace(mul=self._mul, inv=self._inv, add=_add,
-                               identity=_IDENTITY)
-
     def mul(self, x, y):
-        x = _check_element(x)
-        y = _check_element(y)
-        return self._mul(x, y)
-
-    def _mul(self, x, y):
         v = x[:10] + y[:10]
         out = []
         for k in range(19):
@@ -138,11 +124,7 @@ class LoopKernel:
         return tuple(out)
 
     def inv(self, x):
-        """Raw inverse -x + h(x); the self-checking wrapper lives above."""
-        x = _check_element(x)
-        return self._inv(x)
-
-    def _inv(self, x):
+        """Raw inverse -x + h(x); `loop.Loop.inverse` self-checks it."""
         out = []
         for k in range(19):
             acc = 3 - x[k]
@@ -176,9 +158,8 @@ class LoopKernel:
         None).  Each trial draws its law's layout from the running state,
         an element via random_element and a tail via _random_tail.
         """
-        _check_names((name,))
-        _check_seed(seed)
-        law, ops = LAWS[name], self.ops
+        _check_sweep((name,), seed, trials)
+        law = LAWS[name]
         draws = [self.random_element if kind == "e" else self._random_tail
                  for kind in law.layout]
         s = seed
@@ -188,7 +169,7 @@ class LoopKernel:
             for draw in draws:
                 x, s = draw(s)
                 drawn.append(x)
-            if law.lhs(ops, *drawn) != law.rhs(ops, *drawn):
+            if law.lhs(self, *drawn) != law.rhs(self, *drawn):
                 violations += 1
                 if first < 0:
                     first, witness = i, tuple(drawn)

@@ -6,6 +6,10 @@ a Loop instance owns a pair of formula tables plus the evaluation kernel
 compiled from them, so alternate (e.g. deliberately corrupted) tables get
 their own instance.
 
+Elements are checked here, once: each public `Loop` method checks the
+caller's elements at entry (`check_element`, which `symbolic.embed` runs
+too) and then works on the kernel's `mul` and `inv`, which trust them.
+
 Divisions go through the inverse property (u \\ v = u^-1 o v) and every
 division and inverse self-checks its defining equation, so the inverse
 property is continuously validated during use.  Those checks must never
@@ -18,6 +22,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from . import gf3, kernel, tables
+from ._native import _check_seed
 from .errors import (DivisionCheckFailed, InverseLawViolation,
                      OrderNotFoundWithinCap, ParseError, ZeroSeed)
 
@@ -25,7 +30,6 @@ N_COORDS = 19
 Element = tuple  # 19 GF(3) residues
 
 _IDENTITY: Element = (0,) * N_COORDS
-_MASK64 = (1 << 64) - 1
 
 
 def identity() -> Element:
@@ -51,6 +55,17 @@ def vec_neg(x: Element) -> Element:
 
 def vec_scale(x: Element, c: int) -> Element:
     return tuple(gf3.mul(a, c) for a in x)
+
+
+def check_element(x) -> Element:
+    """The caller's element as a tuple; ValueError unless it is 19 residues."""
+    if len(x) != N_COORDS:
+        raise ValueError("element must have 19 coordinates")
+    for v in x:
+        # exactly int: True and 1.0 compare equal to 1 but are no residues
+        if type(v) is not int or v not in (0, 1, 2):
+            raise ValueError(f"coordinate {v!r} is not a GF(3) residue")
+    return tuple(x)
 
 
 def support(x: Element) -> tuple:
@@ -139,8 +154,7 @@ def parse_element(text: str) -> Element:
 
 def check_seed(state: int) -> int:
     """Validate an xorshift-star state: nonzero, 64 bits."""
-    if not isinstance(state, int) or not 0 <= state <= _MASK64:
-        raise ValueError("rng state must be a 64-bit unsigned integer")
+    _check_seed(state)
     if state == 0:
         raise ZeroSeed("rng state must be nonzero")
     return state
@@ -174,67 +188,71 @@ class Loop:
         self._kernel = kernel.LoopKernel(tables.compile_concrete(self.f),
                                          tables.compile_concrete(self.h))
 
-    @property
-    def backend(self) -> str:
-        return kernel.BACKEND
-
     def mul(self, x: Element, y: Element) -> Element:
         """x o y = x + y + f(x, y)."""
-        return self._kernel.mul(x, y)
+        return self._kernel.mul(check_element(x), check_element(y))
 
     def inverse(self, x: Element) -> Element:
         """-x + h(x), self-checked against x o x^-1 = x^-1 o x = identity."""
-        w = self._kernel.inv(x)
-        # x passed the kernel's element check in inv; w is the kernel's own
-        # output, so the self-check multiplies without checking them again
-        x, mul = tuple(x), self._kernel._mul
-        if mul(x, w) != _IDENTITY or mul(w, x) != _IDENTITY:
+        return self._inverse(check_element(x))
+
+    def _inverse(self, x: Element) -> Element:
+        k = self._kernel
+        w = k.inv(x)
+        if k.mul(x, w) != _IDENTITY or k.mul(w, x) != _IDENTITY:
             raise InverseLawViolation(
                 f"inverse law failed at {format_element(x)}; the tables are corrupt")
         return w
 
     def left_div(self, u: Element, v: Element) -> Element:
         """The unique w with u o w = v, via the inverse property."""
-        w = self._kernel.mul(self.inverse(u), v)
-        if self._kernel._mul(tuple(u), w) != tuple(v):     # u, v checked
+        u, v = check_element(u), check_element(v)
+        w = self._kernel.mul(self._inverse(u), v)
+        if self._kernel.mul(u, w) != v:
             raise DivisionCheckFailed(
                 f"left division failed at u={format_element(u)} v={format_element(v)}")
         return w
 
     def right_div(self, v: Element, u: Element) -> Element:
         """The unique w with w o u = v."""
-        w = self._kernel.mul(v, self.inverse(u))
-        if self._kernel._mul(w, tuple(u)) != tuple(v):     # u, v checked
+        v, u = check_element(v), check_element(u)
+        w = self._kernel.mul(v, self._inverse(u))
+        if self._kernel.mul(w, u) != v:
             raise DivisionCheckFailed(
                 f"right division failed at v={format_element(v)} u={format_element(u)}")
         return w
 
     def commutator(self, x: Element, y: Element) -> Element:
         """[x, y]: the unique c with x o y = (y o x) o c."""
-        return self.left_div(self.mul(y, x), self.mul(x, y))
+        x, y = check_element(x), check_element(y)
+        mul = self._kernel.mul
+        return self.left_div(mul(y, x), mul(x, y))
 
     def associator(self, x: Element, y: Element, z: Element) -> Element:
         """(x, y, z): the unique a with (x o y) o z = (x o (y o z)) o a."""
-        return self.left_div(self.mul(x, self.mul(y, z)),
-                             self.mul(self.mul(x, y), z))
+        x, y, z = check_element(x), check_element(y), check_element(z)
+        mul = self._kernel.mul
+        return self.left_div(mul(x, mul(y, z)), mul(mul(x, y), z))
 
     def power(self, x: Element, n: int) -> Element:
         """Left-nested n-th power; diassociativity makes bracketing moot."""
-        base = x if n >= 0 else self.inverse(x)
-        acc = _IDENTITY
+        x = check_element(x)
+        base = x if n >= 0 else self._inverse(x)
+        mul, acc = self._kernel.mul, _IDENTITY
         for _ in range(abs(n)):
-            acc = self.mul(acc, base)
+            acc = mul(acc, base)
         return acc
 
     def order(self, x: Element, cap: int = 81) -> int:
         """Least n >= 1 with x^n = identity."""
+        x = check_element(x)
         if cap < 1:
             raise ValueError("cap must be >= 1")
-        acc = tuple(x)
+        mul, acc = self._kernel.mul, x
         for n in range(1, cap + 1):
             if acc == _IDENTITY:
                 return n
-            acc = self.mul(acc, x)
+            acc = mul(acc, x)
         raise OrderNotFoundWithinCap(
             f"order of {format_element(x)} exceeds cap {cap}")
 

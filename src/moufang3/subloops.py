@@ -84,8 +84,7 @@ def closure(loop: Loop, generators, cap: int = 10_000_000,
     truncated = False
     while work and not truncated:
         u = work.pop()
-        for e in (loop.inverse(u),):
-            add(e)
+        add(loop.inverse(u))
         if len(elems) > cap:
             truncated = True
             break

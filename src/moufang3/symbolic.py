@@ -22,7 +22,7 @@ from `_native.LAWS` with ops over 19-tuples of polynomials: `mul` and `inv`
 are `SymbolicLoop.mul` and `inverse`, `add` is coordinatewise, `identity`
 19 zero polynomials.  Layout position i draws block "xyz"[i], a "t" as a
 generic tail (variables at 11..19 only).  A refutation's witness evaluates
-the same law on the kernel's `ops`.
+the same law with the concrete kernel as its ops.
 
 The proofs double as transcription insurance: it is the x^3 = x reduction,
 not goodwill, that makes a single corrupted monomial surface as a nonzero
@@ -81,8 +81,8 @@ def generic(block: str) -> SymElement:
 
 
 def embed(x: Element) -> SymElement:
-    """A concrete element as constant polynomials."""
-    return SymElement([Poly.constant(v) for v in x])
+    """A concrete element, checked as `Loop` checks it, as constants."""
+    return SymElement([Poly.constant(v) for v in loop_mod.check_element(x)])
 
 
 def assignment_for(blocks: Mapping[str, Element]) -> dict:
@@ -255,7 +255,7 @@ class SymbolicLoop:
         lhs, rhs = law.lhs(ops, *drawn), law.rhs(ops, *drawn)
 
         def concrete(elems):
-            k, args = self.loop._kernel.ops, [elems[b] for b in blocks]
+            k, args = self.loop._kernel, [elems[b] for b in blocks]
             # a joined side is split back into its 19-tuples
             return [side if len(side) == N else (side[:N], side[N:])
                     for side in (law.lhs(k, *args), law.rhs(k, *args))]

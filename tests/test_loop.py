@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import moufang3.loop as loop_module
 from moufang3 import (InverseLawViolation, OrderNotFoundWithinCap, ParseError,
                       ZeroSeed, _batch, _native, basis, f_table,
                       format_element, h_table, identity, parse_element,
-                      vec_add, vec_neg, vec_scale)
+                      subloops, symbolic, vec_add, vec_neg, vec_scale)
 from moufang3.loop import Loop, check_seed
 from moufang3.polys import var
 from moufang3.tables import compile_concrete
@@ -77,30 +78,111 @@ def test_corrupted_inverse_table_fails_hard():
 
 # -- the element boundary --------------------------------------------------------
 
-@pytest.mark.parametrize("bad", [1.0, True, 2 ** 40, "1", -1, 3])
-def test_mul_and_inverse_accept_only_int_residues(loop, bad):
-    x = (bad,) + (0,) * 18
-    for call in (lambda: loop.mul(x, e(2)), lambda: loop.mul(e(2), x),
-                 lambda: loop.inverse(x)):
-        with pytest.raises(ValueError):
+# id -> a bad element and the one message every entry point gives for it
+BAD_ELEMENTS = {
+    "1.0": ((1.0,) + (0,) * 18, "coordinate 1.0 is not a GF(3) residue"),
+    "True": ((True,) + (0,) * 18, "coordinate True is not a GF(3) residue"),
+    "1099511627776": ((2 ** 40,) + (0,) * 18,
+                      "coordinate 1099511627776 is not a GF(3) residue"),
+    "1": (("1",) + (0,) * 18, "coordinate '1' is not a GF(3) residue"),
+    "-1": ((0,) * 18 + (-1,), "coordinate -1 is not a GF(3) residue"),
+    "3": ((3,) + (0,) * 18, "coordinate 3 is not a GF(3) residue"),
+    "len18": ((0,) * 18, "element must have 19 coordinates"),
+    "len20": ((0,) * 20, "element must have 19 coordinates"),
+    "abc": ("abc", "element must have 19 coordinates"),
+}
+
+
+def boundary_calls(lp, sym, x):
+    """Every public entry point that takes an element, x in each place."""
+    g = e(3)
+    return {
+        "mul(x, g)": lambda: lp.mul(x, g),
+        "mul(g, x)": lambda: lp.mul(g, x),
+        "inverse": lambda: lp.inverse(x),
+        "left_div(x, g)": lambda: lp.left_div(x, g),
+        "left_div(g, x)": lambda: lp.left_div(g, x),
+        "right_div(x, g)": lambda: lp.right_div(x, g),
+        "right_div(g, x)": lambda: lp.right_div(g, x),
+        "commutator(x, g)": lambda: lp.commutator(x, g),
+        "commutator(g, x)": lambda: lp.commutator(g, x),
+        "associator(x, g, g)": lambda: lp.associator(x, g, g),
+        "associator(g, x, g)": lambda: lp.associator(g, x, g),
+        "associator(g, g, x)": lambda: lp.associator(g, g, x),
+        "power(x, 0)": lambda: lp.power(x, 0),
+        "power(x, 5)": lambda: lp.power(x, 5),
+        "power(x, -1)": lambda: lp.power(x, -1),
+        "order": lambda: lp.order(x),
+        "count_l_set(x, g)": lambda: subloops.count_l_set(lp, x, g, sym),
+        "count_l_set(g, x)": lambda: subloops.count_l_set(lp, g, x, sym),
+        "brute_count_l_set(x, g)": lambda: subloops.brute_count_l_set(lp, x, g),
+        "brute_count_l_set(g, x)": lambda: subloops.brute_count_l_set(lp, g, x),
+        "in_l_set(x, g, g)": lambda: subloops.in_l_set(lp, x, g, g),
+        "in_l_set(g, x, g)": lambda: subloops.in_l_set(lp, g, x, g),
+        "in_l_set(g, g, x)": lambda: subloops.in_l_set(lp, g, g, x),
+        "density_sample(x, g)":
+            lambda: subloops.density_sample(lp, x, g, trials=1),
+        "density_sample(g, x)":
+            lambda: subloops.density_sample(lp, g, x, trials=1),
+        "associator_variety(x, g)": lambda: sym.associator_variety(x, g),
+        "associator_variety(g, x)": lambda: sym.associator_variety(g, x),
+        "embed": lambda: symbolic.embed(x),
+    }
+
+
+@pytest.mark.parametrize("bad,message", BAD_ELEMENTS.values(),
+                         ids=BAD_ELEMENTS)
+def test_mul_and_inverse_accept_only_int_residues(loop, sym, bad, message):
+    """Not only mul and inverse: every entry point in `boundary_calls`."""
+    for label, call in boundary_calls(loop, sym, bad).items():
+        with pytest.raises(ValueError) as info:
             call()
+        assert str(info.value) == message, label
+
+
+CHECKS_PER_CALL = {
+    "mul": (("mul", e(1), e(2)), 2),
+    "inverse": (("inverse", e(1)), 1),
+    "left_div": (("left_div", e(1), e(2)), 2),
+    "right_div": (("right_div", e(1), e(2)), 2),
+    # the division re-checks its two arguments, kernel outputs here
+    "commutator": (("commutator", e(1), e(2)), 4),
+    "associator": (("associator", e(1), e(2), e(5)), 5),
+    "power5": (("power", e(1), 5), 1),
+    "power-5": (("power", e(1), -5), 1),
+    "order": (("order", e(1)), 1),
+}
+
+
+@pytest.mark.parametrize("call,checks", CHECKS_PER_CALL.values(),
+                         ids=CHECKS_PER_CALL)
+def test_each_call_checks_the_callers_elements_once(loop, monkeypatch, call,
+                                                    checks):
+    seen = []
+    check = loop_module.check_element
+
+    def spy(x):
+        seen.append(x)
+        return check(x)
+
+    monkeypatch.setattr(loop_module, "check_element", spy)
+    method, *args = call
+    getattr(loop, method)(*args)
+    assert len(seen) == checks
 
 
 @pytest.mark.parametrize("kind", [_native, _batch])
 def test_kernel_input_validation(kind):
     k = kind.LoopKernel(compile_concrete(f_table()),
                         compile_concrete(h_table()))
-    for bad in ((0,) * 18, (0,) * 20, (0,) * 18 + (3,)):
-        with pytest.raises(ValueError):
-            k.mul(bad, (0,) * 19)
-        with pytest.raises(ValueError):
-            k.inv(bad)
     for name in ("frobnicate", "", "_sweep_moufang"):
         with pytest.raises(ValueError, match="unknown sweep"):
             k.sweep(name, 42, 10)
-    for seed in (-1, 1 << 64):
+    for seed in (-1, 1 << 64, "7"):
         with pytest.raises(ValueError, match="64-bit"):
             k.sweep("moufang", seed, 10)
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        k.sweep("moufang", 42, -5)
 
 
 # -- divisions --------------------------------------------------------------------

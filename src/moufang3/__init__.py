@@ -28,7 +28,7 @@ from .subloops import (ClosureResult, DensityEstimate, LSetCount, Witness,
                        density_sample, in_l_set, is_closed,
                        nonsubloop_witness)
 from .sweeps import SWEEP_NAMES, SweepResult, run_all, run_sweep
-from .symbolic import (ConsistencyReport, ProofReport, Refutation, SymElement,
+from .symbolic import (ConsistencyReport, ProofReport, Refutation,
                        SymbolicLoop, embed, generic)
 from .tables import (FormulaTable, TableReport, f_table, h_table,
                      validate_tables)
@@ -41,8 +41,8 @@ __all__ = [
     "DivisionCheckFailed", "Element", "FormulaTable", "IdentityCheck",
     "InverseLawViolation", "LSetCount", "Loop", "LoopLawError", "Monomial",
     "OrderNotFoundWithinCap", "ParseError", "Poly", "ProofReport",
-    "Refutation", "SWEEP_NAMES", "SweepResult", "SymElement",
-    "SymbolicLoop", "TableReport", "TailCentralityBroken",
+    "Refutation", "SWEEP_NAMES", "SweepResult", "SymbolicLoop",
+    "TableReport", "TailCentralityBroken",
     "UnboundVariable", "ValidationFailure", "Var", "Witness",
     "WitnessFailed", "ZeroSeed", "basis", "brute_count_l_set", "closure",
     "count_l_set", "default_loop", "density_sample", "embed", "f_table",

@@ -150,7 +150,7 @@ class _ExprParser:
                 return self.loop.associator(u, v, w)
             if text.startswith("e"):
                 try:
-                    idx = int(text[1:])
+                    idx = tables.ascii_int(text[1:])
                 except ValueError:
                     raise ParseError(f"unknown name {text!r}", pos) from None
                 if not 1 <= idx <= 19:
@@ -354,6 +354,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _print_doc(doc, args):
+    if args.format == "json":
+        print(json.dumps(doc, indent=2))
+    else:
+        for key, value in doc.items():
+            print(f"{key}: {value}")
+
+
 def cmd_closure(args) -> int:
     loop = _make_loop(args)
     gens = [parse_element(g) for g in args.generators]
@@ -367,11 +375,7 @@ def cmd_closure(args) -> int:
     }
     if result.order <= args.list_limit:
         doc["elements"] = sorted(format_element(e) for e in result.elements)
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        for key, value in doc.items():
-            print(f"{key}: {value}")
+    _print_doc(doc, args)
     return 0 if not result.truncated else 1
 
 
@@ -400,11 +404,7 @@ def cmd_density(args) -> int:
             "hits": est.hits,
             "density": est.density,
         }
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        for key, value in doc.items():
-            print(f"{key}: {value}")
+    _print_doc(doc, args)
     return 0
 
 
@@ -424,7 +424,7 @@ def _env_int(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        return tables.ascii_int(raw)
     except ValueError:
         # a usage error, like a bad flag value: argparse's exit code
         print(f"moufang3: {name}={raw!r} is not an integer", file=sys.stderr)
@@ -448,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="load f_table.txt/h_table.txt from DIR instead "
                             "of the shipped fixtures")
         if seeded:
-            p.add_argument("--seed", type=int, default=seed_default)
-            p.add_argument("--trials", type=int, default=trials_default)
+            p.add_argument("--seed", type=tables.ascii_int, default=seed_default)
+            p.add_argument("--trials", type=tables.ascii_int, default=trials_default)
 
     p = sub.add_parser("verify", help="run the full verification suite")
     common(p, seeded=True)
@@ -470,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="saturate a generator set")
     p.add_argument("generators", nargs="+")
-    p.add_argument("--cap", type=int, default=10_000_000)
-    p.add_argument("--list-limit", type=int, default=81,
+    p.add_argument("--cap", type=tables.ascii_int, default=10_000_000)
+    p.add_argument("--list-limit", type=tables.ascii_int, default=81,
                    help="list elements when the closure is at most this big")
     common(p)
     p.set_defaults(fn=cmd_closure)
@@ -485,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("order", help="multiplicative order of an element")
     p.add_argument("element")
-    p.add_argument("--cap", type=int, default=81)
+    p.add_argument("--cap", type=tables.ascii_int, default=81)
     common(p)
     p.set_defaults(fn=cmd_order)
 

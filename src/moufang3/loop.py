@@ -139,7 +139,7 @@ def parse_element(text: str) -> Element:
         if not name.startswith("e"):
             raise ParseError(f"expected basis term, got {name!r}", term_pos)
         try:
-            idx = int(name[1:])
+            idx = tables.ascii_int(name[1:])
         except ValueError:
             raise ParseError(f"bad basis index in {name!r}", term_pos) from None
         if not 1 <= idx <= N_COORDS:

@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 HEAD = 10
 HEAD_TOTAL = 3 ** HEAD    # 59049
 TAIL_FREEDOM = 3 ** 9
+RECHECK_LIMIT = 5_000     # closures up to this size are re-checked by is_closed
 
 # the four triples of the generating set {a, b, c, d} = {e1, e2, e3, e4}
 GENERATOR_TRIPLES = (("(a,b,c)", (1, 2, 3)), ("(a,b,d)", (1, 2, 4)),
@@ -56,13 +57,12 @@ class ClosureResult(NamedTuple):
         return tuple(sorted(coords))
 
 
-def closure(loop: Loop, generators, cap: int = 10_000_000,
-            recheck_limit: int = 5_000) -> ClosureResult:
+def closure(loop: Loop, generators, cap: int = 10_000_000) -> ClosureResult:
     """Smallest subset containing the generators and the identity, closed
     under mul and inverse, by worklist saturation.
 
     Stops (truncated=True) as soon as the set would exceed `cap`.  For
-    results up to `recheck_limit` elements the closure is re-verified post
+    results up to RECHECK_LIMIT elements the closure is re-verified post
     hoc with the full double loop of is_closed.
     """
     if cap < 1:
@@ -98,7 +98,7 @@ def closure(loop: Loop, generators, cap: int = 10_000_000,
     closed: bool | None
     if truncated:
         closed = None
-    elif len(elems) <= recheck_limit:
+    elif len(elems) <= RECHECK_LIMIT:
         closed = is_closed(loop, elems)
     else:
         closed = True   # guaranteed by saturation; double loop too large
@@ -153,13 +153,13 @@ def count_l_set(loop: Loop, a: Element, b: Element,
     variety = sym.associator_variety(a, b)
     head_vars = [Var("x", i) for i in range(1, HEAD + 1)]
     allowed = set(head_vars)
-    for k, p in enumerate(variety.coords, start=1):
+    for k, p in enumerate(variety, start=1):
         stray = p.variables() - allowed
         if stray:
             raise TailCentralityBroken(
                 f"associator coordinate {k} reads {sorted(map(str, stray))}; "
                 "centrality of the tail is broken")
-    ev = kernel.PolyEvaluator(flatten_polys(variety.coords, head_vars), HEAD)
+    ev = kernel.PolyEvaluator(flatten_polys(variety, head_vars), HEAD)
     return LSetCount((tuple(a), tuple(b)), ev.count_all_zero(), HEAD_TOTAL)
 
 

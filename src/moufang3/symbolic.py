@@ -1,11 +1,11 @@
 """Symbolic side of the loop: identity proofs over generic elements.
 
-A SymElement is a 19-tuple of polynomials; applying the product or inverse
-formula to generic elements (coordinates are fresh variables) and reducing
-by x^3 = x turns an identity claim into "all 19 difference coordinates are
-the zero polynomial".  Because the reduced canonical form coincides with
-the function F_3^n -> F_3, a proved verdict covers every concrete
-assignment -- e.g. all 3^57 triples for the two-sided Moufang law
+A symbolic element is a plain 19-tuple of polynomials; applying the product
+or inverse formula to generic elements (coordinates are fresh variables) and
+reducing by x^3 = x turns an identity claim into "all 19 difference
+coordinates are the zero polynomial".  Because the reduced canonical form
+coincides with the function F_3^n -> F_3, a proved verdict covers every
+concrete assignment -- e.g. all 3^57 triples for the two-sided Moufang law
 
     (x o y) o (z o x) = (x o (y o z)) o x.
 
@@ -18,11 +18,11 @@ from a surviving monomial and re-checked through the concrete kernel, so a
 symbolic failure is always reproducible as a loop computation.
 
 `prove_law` reads the swept laws, Moufang and the inverse law among them,
-from `_native.LAWS` with ops over 19-tuples of polynomials: `mul` and `inv`
-are `SymbolicLoop.mul` and `inverse`, `add` is coordinatewise, `identity`
-19 zero polynomials.  Layout position i draws block "xyz"[i], a "t" as a
-generic tail (variables at 11..19 only).  A refutation's witness evaluates
-the same law with the concrete kernel as its ops.
+from `_native.LAWS` with the `SymbolicLoop` itself as the ops, as the scalar
+kernel is for a sweep: `mul` and `inv` are its formula applications, `add`
+is coordinatewise, `identity` 19 zero polynomials.  Layout position i draws
+block "xyz"[i], a "t" a generic tail (variables at 11..19 only).  A
+refutation's witness evaluates the same law with the concrete kernel as ops.
 
 The proofs double as transcription insurance: it is the x^3 = x reduction,
 not goodwill, that makes a single corrupted monomial surface as a nonzero
@@ -32,7 +32,6 @@ difference coordinate (the mutation tests exercise exactly that).
 from __future__ import annotations
 
 import time
-from types import SimpleNamespace
 from typing import Mapping, NamedTuple, Sequence
 
 from . import loop as loop_mod
@@ -46,43 +45,17 @@ N = 19
 _HEAD = 10  # the tables read coordinates 1..10 only
 _X_HEAD = tuple(Var("x", i) for i in range(1, _HEAD + 1))
 _Y_HEAD = tuple(Var("y", i) for i in range(1, _HEAD + 1))
+EXTRA_PAIRS = 2  # seeded random pairs `consistency_sweep` adds to (e3, e4)
 
 
-class SymElement:
-    """A loop element with polynomial coordinates."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Sequence[Poly]):
-        coords = tuple(coords)
-        if len(coords) != N:
-            raise ValueError("SymElement needs 19 coordinate polynomials")
-        self.coords = coords
-
-    def evaluate(self, assignment: Mapping[Var, int]) -> Element:
-        return tuple(p.evaluate(assignment) for p in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymElement):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        nonzero = sum(1 for p in self.coords if not p.is_zero())
-        return f"<SymElement {nonzero} nonzero coords>"
-
-
-def generic(block: str) -> SymElement:
+def generic(block: str) -> tuple:
     """The generic element of a block: coordinate i is the variable block_i."""
-    return SymElement([Poly.variable(block, i) for i in range(1, N + 1)])
+    return tuple(Poly.variable(block, i) for i in range(1, N + 1))
 
 
-def embed(x: Element) -> SymElement:
+def embed(x: Element) -> tuple:
     """A concrete element, checked as `Loop` checks it, as constants."""
-    return SymElement([Poly.constant(v) for v in loop_mod.check_element(x)])
+    return tuple(Poly.constant(v) for v in loop_mod.check_element(x))
 
 
 def assignment_for(blocks: Mapping[str, Element]) -> dict:
@@ -215,27 +188,33 @@ def _telemetry(*sides: Sequence[Poly]) -> dict:
 
 
 class SymbolicLoop:
-    """Symbolic multiplication/inverse plus the identity proofs for one Loop."""
+    """Symbolic multiplication/inverse plus the identity proofs for one Loop;
+    also the ops `_native.LAWS` is read with, on 19-tuples of polynomials."""
+
+    identity = (Poly.zero(),) * N
 
     def __init__(self, concrete: Loop | None = None):
         self.loop = concrete if concrete is not None else default_loop()
         self._f = self.loop.f.coords
         self._h = self.loop.h.coords
 
-    # -- the two formula applications --------------------------------------
+    # -- the ops `LAWS` reads: the two formula applications and `add` ------
 
-    def mul(self, a: SymElement, b: SymElement) -> SymElement:
+    def mul(self, a: tuple, b: tuple) -> tuple:
         """Coordinate k of a o b: a_k + b_k + f_k(a, b)."""
-        env = dict(zip(_X_HEAD, a.coords))
-        env.update(zip(_Y_HEAD, b.coords))
-        return SymElement([a.coords[k] + b.coords[k] + self._f[k].substitute(env)
-                           for k in range(N)])
+        env = dict(zip(_X_HEAD, a))
+        env.update(zip(_Y_HEAD, b))
+        return tuple([a[k] + b[k] + self._f[k].substitute(env)
+                      for k in range(N)])
 
-    def inverse(self, a: SymElement) -> SymElement:
+    def inv(self, a: tuple) -> tuple:
         """Coordinate k of a^-1: -a_k + h_k(a)."""
-        env = dict(zip(_X_HEAD, a.coords))
-        return SymElement([-a.coords[k] + self._h[k].substitute(env)
-                           for k in range(N)])
+        env = dict(zip(_X_HEAD, a))
+        return tuple([-a[k] + self._h[k].substitute(env) for k in range(N)])
+
+    @staticmethod
+    def add(a: tuple, b: tuple) -> tuple:
+        return tuple(map(Poly.__add__, a, b))
 
     # -- proofs -------------------------------------------------------------
 
@@ -244,15 +223,10 @@ class SymbolicLoop:
         t0 = time.perf_counter()
         law = LAWS[name]
         blocks = "xyz"[:len(law.layout)]
-        drawn = [generic(b).coords if kind == "e"
-                 else (Poly.zero(),) * _HEAD + generic(b).coords[_HEAD:]
+        drawn = [generic(b) if kind == "e"
+                 else self.identity[:_HEAD] + generic(b)[_HEAD:]
                  for kind, b in zip(law.layout, blocks)]
-        ops = SimpleNamespace(
-            mul=lambda a, b: self.mul(SymElement(a), SymElement(b)).coords,
-            inv=lambda a: self.inverse(SymElement(a)).coords,
-            add=lambda a, b: tuple(map(Poly.__add__, a, b)),
-            identity=(Poly.zero(),) * N)
-        lhs, rhs = law.lhs(ops, *drawn), law.rhs(ops, *drawn)
+        lhs, rhs = law.lhs(self, *drawn), law.rhs(self, *drawn)
 
         def concrete(elems):
             k, args = self.loop._kernel, [elems[b] for b in blocks]
@@ -276,11 +250,8 @@ class SymbolicLoop:
         """0 o x = x o 0 = x as polynomial identities."""
         t0 = time.perf_counter()
         x = generic("x")
-        e = embed(loop_mod.identity())
-        left = self.mul(e, x)
-        right = self.mul(x, e)
-        diffs = ([left.coords[k] - x.coords[k] for k in range(N)]
-                 + [right.coords[k] - x.coords[k] for k in range(N)])
+        left, right = self.mul(self.identity, x), self.mul(x, self.identity)
+        diffs = [p - q for p, q in zip(left + right, x + x)]
 
         def concrete(elems):
             ex = elems["x"]
@@ -288,7 +259,7 @@ class SymbolicLoop:
             return ((m(loop_mod.identity(), ex), m(ex, loop_mod.identity())), (ex, ex))
 
         return self._report("identity-law", diffs, ("x",), concrete,
-                            _telemetry(left.coords, right.coords), t0)
+                            _telemetry(left, right), t0)
 
     def prove_normal_form(self) -> ProofReport:
         """The left-nested product e_1^t1 o e_2^t2 o ... o e_19^t19 equals
@@ -305,25 +276,21 @@ class SymbolicLoop:
             "power_precheck": "pass" if not precheck_failures else precheck_failures
         }
 
-        factors = []
-        for i in range(1, N + 1):
-            coords = [Poly.zero()] * N
-            coords[i - 1] = Poly.variable("t", i)
-            factors.append(SymElement(coords))
+        t = generic("t")
+        # the factor e_i^t_i: t_i at coordinate i, zero elsewhere
+        factors = [self.identity[:i] + t[i:i + 1] + self.identity[i + 1:]
+                   for i in range(N)]
         acc = factors[0]
         for p in factors[1:]:
             acc = self.mul(acc, p)
-        target = generic("t")
-        diffs = [acc.coords[k2] - target.coords[k2] for k2 in range(N)]
+        diffs = [p - q for p, q in zip(acc, t)]
         report = self._report("normal-form", diffs, ("t",),
                               self._normal_form_concrete,
-                              _telemetry(acc.coords), t0, details=details)
+                              _telemetry(acc), t0, details=details)
         if precheck_failures and report.proved:
             # the generic product only stands for integer powers when the
             # precheck holds, so a failed precheck refutes the claim
-            report = ProofReport(report.claim, False, report.nonzero_coords,
-                                 report.telemetry, report.millis,
-                                 report.witness, details)
+            report = report._replace(proved=False)
         return report
 
     def _power_precheck(self) -> list:
@@ -371,10 +338,8 @@ class SymbolicLoop:
         if nonzero:
             pos = nonzero[0]
             point = nonzero_point(diffs[pos])
-            elements = {}
-            for b in blocks:
-                elements[b] = tuple(point.get(Var(b, i), 0)
-                                    for i in range(1, N + 1))
+            elements = {b: tuple(point.get(Var(b, i), 0)
+                                 for i in range(1, N + 1)) for b in blocks}
             witness = Refutation(pos % N + 1, point, elements,
                                  *concrete(elements))
         millis = 1000.0 * (time.perf_counter() - t0)
@@ -384,7 +349,7 @@ class SymbolicLoop:
 
     # -- the associate-set machinery ----------------------------------------
 
-    def associator_variety(self, b1: Element, b2: Element) -> SymElement:
+    def associator_variety(self, b1: Element, b2: Element) -> tuple:
         """The associator (x, b1, b2) with x generic.
 
         Self-checks its division symbolically; the result depends only on
@@ -395,19 +360,18 @@ class SymbolicLoop:
         c1, c2 = embed(b1), embed(b2)
         p = self.mul(x, self.mul(c1, c2))      # x o (b1 o b2)
         q = self.mul(self.mul(x, c1), c2)      # (x o b1) o b2
-        a = self.mul(self.inverse(p), q)
-        check = self.mul(p, a)
-        if check != q:
+        a = self.mul(self.inv(p), q)
+        if self.mul(p, a) != q:
             raise DivisionCheckFailed(
                 "symbolic division failed while building the associator variety")
         return a
 
-    def consistency_sweep(self, seed: int = 42, trials: int = 10_000,
-                          extra_pairs: int = 2) -> ConsistencyReport:
+    def consistency_sweep(self, seed: int = 42,
+                          trials: int = 10_000) -> ConsistencyReport:
         """Check evaluate(sym_op) == concrete_op(evaluate) on random inputs.
 
         Covers the symbolic product, the symbolic inverse, and associator
-        varieties for (e3, e4) plus `extra_pairs` seeded random pairs.
+        varieties for (e3, e4) plus `EXTRA_PAIRS` seeded random pairs.
         """
         if trials < 1:
             raise ValueError("trials must be >= 1")
@@ -415,7 +379,7 @@ class SymbolicLoop:
         state = loop_mod.check_seed(seed)
 
         pairs = [(basis(3), basis(4))]
-        for _ in range(extra_pairs):
+        for _ in range(EXTRA_PAIRS):
             a, state = lp.random_element(state)
             b, state = lp.random_element(state)
             pairs.append((a, b))
@@ -424,12 +388,12 @@ class SymbolicLoop:
         xy_order += [Var("y", i) for i in range(1, N + 1)]
         x_order = xy_order[:N]
         prod = self.mul(generic("x"), generic("y"))
-        inv = self.inverse(generic("x"))
-        ev_prod = kernel.PolyEvaluator(flatten_polys(prod.coords, xy_order), 2 * N)
-        ev_inv = kernel.PolyEvaluator(flatten_polys(inv.coords, x_order), N)
+        inv = self.inv(generic("x"))
+        ev_prod = kernel.PolyEvaluator(flatten_polys(prod, xy_order), 2 * N)
+        ev_inv = kernel.PolyEvaluator(flatten_polys(inv, x_order), N)
         ev_pairs = [
             (a, b, kernel.PolyEvaluator(
-                flatten_polys(self.associator_variety(a, b).coords, x_order), N))
+                flatten_polys(self.associator_variety(a, b), x_order), N))
             for a, b in pairs
         ]
 

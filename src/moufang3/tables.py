@@ -23,7 +23,18 @@ MAX_VAR_INDEX = 10
 MAX_DEGREE = 4
 
 _DATA_DIR = Path(__file__).parent / "data"
-_VAR_RE = re.compile(r"^([a-z])(\d+)$")
+_VAR_RE = re.compile(r"^([a-z])(\d+)$", re.ASCII)
+# the usual coordinate and coefficient texts, looked up per line, as that
+# costs less than int(); any other text goes through ascii_int
+_SMALL_INTS = {str(i): i for i in range(1, N_COORDS + 1)}
+
+
+def ascii_int(text: str) -> int:
+    """int(text) for ASCII digits after an optional '-' only; int() alone
+    also takes other scripts' digits, '_', '+' and spaces."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
 
 
 class FormulaTable(NamedTuple):
@@ -73,12 +84,13 @@ def parse_table(text: str, name: str, blocks: tuple[str, ...]) -> FormulaTable:
         if len(parts) != 3:
             raise ValidationFailure(
                 f"{name} table line {lineno}: expected 'coord; coeff; factors'")
-        try:
-            coord = int(parts[0])
-            coeff = int(parts[1])
-        except ValueError:
-            raise ValidationFailure(
-                f"{name} table line {lineno}: non-integer coord or coeff") from None
+        coord, coeff = _SMALL_INTS.get(parts[0]), _SMALL_INTS.get(parts[1])
+        if coord is None or coeff is None:        # "05", "-1", "x", ...
+            try:
+                coord, coeff = ascii_int(parts[0]), ascii_int(parts[1])
+            except ValueError:
+                raise ValidationFailure(f"{name} table line {lineno}: "
+                                        "non-integer coord or coeff") from None
         if not 1 <= coord <= N_COORDS:
             raise ValidationFailure(
                 f"{name} table line {lineno}: coordinate {coord} outside 1..19")

@@ -311,6 +311,66 @@ def test_non_integer_env_value_exits_2(capsys, monkeypatch, name):
     assert f"{name}='abc' is not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "e1_0"),
+    ("eval", "e 5"),
+    ("eval", "(e1_0*e2)"),
+    ("eval", "comm(e1,e1_9)"),
+    ("order", "e\u0661\u0669"),
+    ("density", "e3", "e\u0664"),
+    ("verify", "--no-symbolic", "--trials", "\u0661\u0660"),
+    ("verify", "--no-symbolic", "--trials", "1_0"),
+    ("verify", "--no-symbolic", "--trials", " 5"),
+    ("verify", "--no-symbolic", "--trials", "0", "--seed", "+7"),
+    ("density", "e3", "e4", "--mode", "sample", "--trials", "\uff15"),
+    ("closure", "e1", "--cap", "1_000"),
+    ("closure", "e1", "--list-limit", "\u0668\u0661"),
+    ("order", "e1", "--cap", "\u0669"),
+])
+def test_integer_text_takes_ascii_digits_only(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:      # argparse: usage, then one error line
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines()
+                if line.startswith("moufang3")]) == 1
+
+
+@pytest.mark.parametrize("name,value", [
+    ("MOUFANG3_TRIALS", "\u0666\u0664"), ("MOUFANG3_SEED", "\u0664\u0662"),
+    ("MOUFANG3_TRIALS", "1_0"), ("MOUFANG3_SEED", " 7 "),
+])
+def test_env_integer_takes_ascii_digits_only(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc_info:
+        main(["verify", "--trials", "0", "--no-symbolic"])
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().err == f"moufang3: {name}={value!r} is not an integer\n"
+
+
+def test_negative_integer_flags_reach_their_checks(capsys):
+    code, _, err = run(capsys, "verify", "--no-symbolic", "--trials", "-5")
+    assert code == 2 and err == "moufang3: trials must be >= 0\n"
+    code, _, err = run(capsys, "closure", "e1", "--cap", "-1")
+    assert code == 2 and err == "moufang3: cap must be >= 1\n"
+
+
+@pytest.mark.parametrize("line", ["5; 1; x\u0662*y1", "\u0665; 1; x2*y1",
+                                  "5; \u0661; x2*y1"])
+def test_table_with_non_ascii_digits_exits_1(capsys, tmp_path, line):
+    edited = tmp_path / "tables"
+    edited.mkdir()
+    edited.joinpath("f_table.txt").write_text(
+        (_DATA_DIR / "f_table.txt").read_text() + line + "\n")
+    shutil.copy(_DATA_DIR / "h_table.txt", edited / "h_table.txt")
+    code, out, err = run(capsys, "prove", "moufang", "--tables", str(edited))
+    assert code == 1 and out == ""
+    assert one_line_error(err) and "f table line" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["--version"])
@@ -329,14 +389,14 @@ def one_line_error(err):
 def test_tail_centrality_failure_exits_1(capsys, monkeypatch):
     from moufang3 import LoopLawError, TailCentralityBroken, subloops
     from moufang3.polys import var
-    from moufang3.symbolic import SymbolicLoop, SymElement
+    from moufang3.symbolic import SymbolicLoop
 
     variety = SymbolicLoop.associator_variety
 
     def leaky(self, b1, b2):
-        coords = list(variety(self, b1, b2).coords)
+        coords = list(variety(self, b1, b2))
         coords[6] = coords[6] + var("x", 11)
-        return SymElement(coords)
+        return tuple(coords)
 
     monkeypatch.setattr(SymbolicLoop, "associator_variety", leaky)
     with pytest.raises(TailCentralityBroken) as info:

@@ -419,6 +419,15 @@ def test_parse_errors(text, fragment):
         parse_element(text)
 
 
+@pytest.mark.parametrize("text", [
+    "e1_0", "e 5", "e\u0663", "e\u0661\u0669", "2*e\u0665", "e1 + e\uff15",
+])
+def test_parse_sparse_index_takes_ascii_digits_only(text):
+    # int() also reads '_', spaces and other scripts' digits
+    with pytest.raises(ParseError, match="bad basis index"):
+        parse_element(text)
+
+
 def test_parse_error_carries_position():
     try:
         parse_element("e1 + e99")

@@ -165,6 +165,30 @@ def test_parse_table_rejects_variables_outside_the_ring(factor, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("line", [
+    "\u0665; \u0661; x\u0662*y1",      # Arabic-Indic digits throughout
+    "\u0665; 1; x2*y1",
+    "5; \u0661; x2*y1",
+    "5; 1; x\u0662*y1",
+    "5; 1; x2*y\uff11",                # a fullwidth digit
+    "1_0; 1; x2*y1",
+    "+5; 1; x2*y1",
+    "5; +1; x2*y1",
+])
+def test_parse_table_takes_ascii_digits_only(line):
+    with pytest.raises(ValidationFailure):
+        parse_table(line + "\n", "f", ("x", "y"))
+
+
+def test_parse_table_reads_other_ascii_integers_as_before():
+    assert parse_table("05; 01; x2*y1\n", "f", ("x", "y")) == \
+        parse_table("5; 1; x2*y1\n", "f", ("x", "y"))
+    for line, message in (("25; 1; x2*y1", "coordinate 25 outside 1..19"),
+                          ("5; -1; x2*y1", "coefficient -1 not a unit")):
+        with pytest.raises(ValidationFailure, match=message):
+            parse_table(line, "f", ("x", "y"))
+
+
 def test_rejects_wrong_block():
     bad = h_table().with_coord(5, var("x", 1) * var("y", 2))
     with pytest.raises(ValidationFailure, match="block"):

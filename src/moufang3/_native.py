@@ -2,6 +2,8 @@
 
 `LoopKernel` evaluates one product, inverse or draw at a time; it is the
 reference that `moufang3._batch`'s bit-sliced sweeps are tested against.
+Its one per-trial primitive is `verdicts`, an endless stream of a law's
+outcomes trial by trial; `sweep` is the fold of its first `trials` items.
 It trusts its inputs: elements are 19-tuples of GF(3) residues, checked
 once where they enter the package (`loop.Loop`'s public methods and
 `symbolic.embed`), never again here.  `LAWS` writes each swept law once,
@@ -12,7 +14,10 @@ over an ops object that provides `mul`, `inv`, `add` and `identity`: a
 
 from __future__ import annotations
 
+from itertools import islice, product
 from typing import Callable, NamedTuple
+
+from .errors import ZeroSeed
 
 MASK64 = (1 << 64) - 1
 RNG_MULTIPLIER = 2685821657736338717
@@ -65,15 +70,24 @@ SWEEP_NAMES = tuple(LAWS)
 def _check_seed(seed):
     if not isinstance(seed, int) or not 0 <= seed <= MASK64:
         raise ValueError("rng state must be a 64-bit unsigned integer")
+    # xorshift state 0 never leaves 0: every draw would be the identity
+    if seed == 0:
+        raise ZeroSeed("rng state must be nonzero")
 
 
 def _check_sweep(names, seed, trials):
+    """The one check of a sweep's arguments, made before anything is drawn."""
+    if not names:
+        raise ValueError("no sweep names given")
     for name in names:
         if name not in LAWS:
-            raise ValueError(f"unknown sweep {name!r}")
+            raise ValueError(
+                f"unknown sweep {name!r}; choose from {SWEEP_NAMES}")
     if len(set(names)) < len(names):
         raise ValueError(f"duplicate sweep names in {names}")
     _check_seed(seed)
+    if type(trials) is not int:
+        raise ValueError(f"trials must be an int, not {trials!r}")
     if trials < 0:
         raise ValueError("trials must be >= 0")
 
@@ -144,35 +158,41 @@ class LoopKernel:
         """Draw 19 trits from xorshift-star; returns (element, new state)."""
         return _trits(state, 19)
 
-    def _random_tail(self, state):
-        # 9 trits into coordinates 11..19; head coordinates stay zero
-        tail, s = _trits(state, 9)
-        return (0,) * 10 + tail, s
-
     # -- randomized identity sweeps ------------------------------------------
 
-    def sweep(self, name, seed, trials):
-        """Run a named identity sweep of `LAWS`, one trial at a time.
+    def verdicts(self, name, seed):
+        """Each trial of a named sweep of `LAWS`, endlessly: its drawn
+        elements when the law fails on them, None when it holds.
 
-        Returns (violations, first_failing_trial or -1, witness elements or
-        None).  Each trial draws its law's layout from the running state,
-        an element via random_element and a tail via _random_tail.
+        A trial draws its law's layout from the running state: "e" an
+        element as random_element draws it, "t" 9 trits into coordinates
+        11..19.  The name and seed are checked at the call, not at the
+        first draw.
+        """
+        _check_sweep((name,), seed, 0)
+        return self._verdicts(LAWS[name], seed)
+
+    def _verdicts(self, law, s):
+        while True:
+            drawn = []
+            for kind in law.layout:
+                x, s = _trits(s, 19 if kind == "e" else 9)
+                drawn.append(x if kind == "e" else (0,) * 10 + x)
+            holds = law.lhs(self, *drawn) == law.rhs(self, *drawn)
+            yield None if holds else tuple(drawn)
+
+    def sweep(self, name, seed, trials):
+        """The fold of the first `trials` items of `verdicts(name, seed)`:
+        (violations, first failing trial or -1, its drawn elements or None).
         """
         _check_sweep((name,), seed, trials)
-        law = LAWS[name]
-        draws = [self.random_element if kind == "e" else self._random_tail
-                 for kind in law.layout]
-        s = seed
         violations, first, witness = 0, -1, None
-        for i in range(trials):
-            drawn = []
-            for draw in draws:
-                x, s = draw(s)
-                drawn.append(x)
-            if law.lhs(self, *drawn) != law.rhs(self, *drawn):
+        for i, drawn in enumerate(islice(self._verdicts(LAWS[name], seed),
+                                         trials)):
+            if drawn is not None:
                 violations += 1
                 if first < 0:
-                    first, witness = i, tuple(drawn)
+                    first, witness = i, drawn
         return violations, first, witness
 
 
@@ -210,9 +230,8 @@ class PolyEvaluator:
         if n > 16:
             raise ValueError("refusing to enumerate 3^%d points" % n)
         polys = self._polys
-        point = [0] * n
         count = 0
-        for _ in range(3 ** n):
+        for point in product((0, 1, 2), repeat=n):
             for terms in polys:
                 acc = 0
                 for coeff, codes in terms:
@@ -226,12 +245,4 @@ class PolyEvaluator:
                     break
             else:
                 count += 1
-            i = n - 1
-            while i >= 0:
-                point[i] += 1
-                if point[i] == 3:
-                    point[i] = 0
-                    i -= 1
-                else:
-                    break
         return count

@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 from . import gf3, kernel, tables
 from ._native import _check_seed
 from .errors import (DivisionCheckFailed, InverseLawViolation,
-                     OrderNotFoundWithinCap, ParseError, ZeroSeed)
+                     OrderNotFoundWithinCap, ParseError)
 
 N_COORDS = 19
 Element = tuple  # 19 GF(3) residues
@@ -155,8 +155,6 @@ def parse_element(text: str) -> Element:
 def check_seed(state: int) -> int:
     """Validate an xorshift-star state: nonzero, 64 bits."""
     _check_seed(state)
-    if state == 0:
-        raise ZeroSeed("rng state must be nonzero")
     return state
 
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._native import LAWS, SWEEP_NAMES
-from .loop import Loop, check_seed, default_loop
+from ._native import LAWS, SWEEP_NAMES, _check_sweep
+from .loop import Loop, default_loop
 
 __all__ = ["SWEEP_NAMES", "SharedSweeps", "SweepResult", "run_sweep",
            "run_all"]
@@ -74,12 +74,8 @@ def run_sweep(loop: Loop | None, name: str, seed: int = 42,
     With `shared`, the result is read from that pass, which must be of
     this loop, seed and budget.
     """
-    if name not in SWEEP_NAMES:
-        raise ValueError(f"unknown sweep {name!r}; choose from {SWEEP_NAMES}")
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
+    _check_sweep((name,), seed, trials)
     lp = loop if loop is not None else default_loop()
-    check_seed(seed)
     if shared is None:
         violations, first, witness = lp._kernel.sweep(name, seed, trials)
     elif shared.loop is lp and (shared.seed, shared.trials) == (seed, trials):

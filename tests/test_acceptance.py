@@ -10,10 +10,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
-
-from moufang3 import (InverseLawViolation, LoopLawError, SymbolicLoop, basis,
-                      brute_count_l_set, closure, count_l_set, density_sample,
+from moufang3 import (LoopLawError, SymbolicLoop, basis, brute_count_l_set,
+                      closure, count_l_set, density_sample,
                       f_table, h_table, identity, is_closed,
                       nonsubloop_witness, run_all)
 from moufang3.kernel import SWEEP_NAMES
@@ -144,6 +142,16 @@ MUTATIONS = [
 ]
 
 
+def mutated_tables(mutation):
+    """The shipped f and h tables with one mutation applied (None: none)."""
+    f, h = f_table(), h_table()
+    if mutation is not None:
+        _, which, coord, poly = mutation
+        f = f.with_coord(coord, poly) if which == "f" else f
+        h = h.with_coord(coord, poly) if which == "h" else h
+    return f, h
+
+
 def first_failing_check(loop):
     """Run the criteria-1..6 checks cheap-to-expensive; name the first failure."""
     sym = SymbolicLoop(loop)
@@ -175,12 +183,10 @@ def test_criterion_10_mutation_sensitivity():
     with criterion(10, f"{len(MUTATIONS)} single-monomial corruptions caught"):
         assert len(MUTATIONS) >= 5
         caught = {}
-        for label, which, coord, poly in MUTATIONS:
-            f = f_table().with_coord(coord, poly) if which == "f" else f_table()
-            h = h_table().with_coord(coord, poly) if which == "h" else h_table()
-            failing = first_failing_check(Loop(f, h))
-            caught[label] = failing
-            assert failing is not None, f"mutation not caught: {label}"
+        for mutation in MUTATIONS:
+            label = mutation[0]
+            caught[label] = first_failing_check(Loop(*mutated_tables(mutation)))
+            assert caught[label] is not None, f"mutation not caught: {label}"
         print(f"  mutations -> first failing check: {caught}")
 
 

@@ -1,15 +1,19 @@
 """The batched sweeps must agree bit for bit with the scalar reference.
 
 `_batch.LoopKernel.sweep` runs a chunk of trials per pass on bit planes;
-`_native` runs one trial at a time and is the reference.  Both are pure
-Python, so these tests always run.
+`_native` runs one trial at a time and is the reference, computed once
+per table, law and seed up to the largest budget and read off per budget.
+Both are pure Python, so these tests always run.
 """
+
+from itertools import islice
 
 import pytest
 
 from moufang3 import _batch, _native, gf3, tables
 
-from test_acceptance import MUTATIONS
+from sweep_reference import GROUPS, reference
+from test_acceptance import MUTATIONS, mutated_tables
 
 CHUNK = _batch.CHUNK
 TRIALS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1)
@@ -17,14 +21,7 @@ SEEDS = (1, 42, (1 << 64) - 1)
 
 
 def flat_tables(mutation=None):
-    f, h = tables.f_table(), tables.h_table()
-    if mutation is not None:
-        _, which, coord, poly = mutation
-        if which == "f":
-            f = f.with_coord(coord, poly)
-        else:
-            h = h.with_coord(coord, poly)
-    return tables.compile_concrete(f), tables.compile_concrete(h)
+    return tuple(map(tables.compile_concrete, mutated_tables(mutation)))
 
 
 @pytest.mark.parametrize("mutation", [None] + MUTATIONS,
@@ -34,9 +31,10 @@ def test_sweeps_match_reference(mutation, name):
     flat = flat_tables(mutation)
     ref, fast = _native.LoopKernel(*flat), _batch.LoopKernel(*flat)
     for seed in SEEDS:
+        per_trial = list(islice(ref.verdicts(name, seed), max(TRIALS)))
         for trials in TRIALS:
             assert fast.sweep(name, seed, trials) == \
-                ref.sweep(name, seed, trials), (seed, trials)
+                reference(per_trial, trials), (seed, trials)
 
 
 def test_first_failure_in_a_later_chunk(monkeypatch):
@@ -58,7 +56,6 @@ def test_first_failure_in_a_later_chunk(monkeypatch):
 def test_constant_monomials_match_reference(monkeypatch, name):
     # a constant term is the all-lanes plane; r * CHUNK + 1 trials of a law
     # of r trials per lane leave one lane in the last chunk
-    from test_shared_sweeps import GROUPS
     monkeypatch.setattr(_batch, "CHUNK", 2)
     f, h = flat_tables()
     f[18] = f[18] + [(1, ())]

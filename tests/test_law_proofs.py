@@ -12,13 +12,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from moufang3 import (InverseLawViolation, SymbolicLoop, f_table, generic,
-                      h_table)
+from moufang3 import InverseLawViolation, SymbolicLoop, f_table, generic
 from moufang3._native import SWEEP_NAMES
 from moufang3.loop import Loop
 from moufang3.polys import var
 
-from test_acceptance import MUTATIONS
+from test_acceptance import MUTATIONS, mutated_tables
 from test_law_oracle import ORACLE
 
 # x1*x2 in f7 reads x alone, so x*z != x + z for a tail z wherever x1 and
@@ -45,13 +44,7 @@ REFUTED = {
 @lru_cache(maxsize=None)
 def proofs(table):
     """The loop of a table and its six law proofs, keyed by law."""
-    f, h = f_table(), h_table()
-    mutation = TABLES[table]
-    if mutation is not None:
-        _, which, coord, poly = mutation
-        f = f.with_coord(coord, poly) if which == "f" else f
-        h = h.with_coord(coord, poly) if which == "h" else h
-    loop = Loop(f, h)
+    loop = Loop(*mutated_tables(TABLES[table]))
     sym = SymbolicLoop(loop)
     return loop, sym, {name: sym.prove_law(name) for name in SWEEP_NAMES}
 

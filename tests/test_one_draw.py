@@ -10,17 +10,13 @@ chunk serves every law, and pin how the pass time is split between laws.
 
 import pytest
 
-from moufang3 import _batch, _native
+from moufang3 import _batch
 
+from sweep_reference import NAMES, TRITS, check_budgets
 from test_acceptance import MUTATIONS
 from test_batch_parity import SEEDS, flat_tables
-from test_shared_sweeps import (check_budgets, scalar_jump_tables,
-                                sparse_table, verdicts)
+from test_shared_sweeps import scalar_jump_tables, sparse_table
 
-NAMES = _native.SWEEP_NAMES
-# trits a trial reads, written out here rather than read from the kernels
-TRITS = {"moufang": 57, "left_alternative": 38, "right_alternative": 38,
-         "flexible": 38, "inverse": 19, "tail_central": 28}
 # around 1, 2 and 3 lanes of Moufang (28 trials each), of tail_central (57)
 # and of the inverse law (84)
 BUDGETS = (0, 1, 27, 28, 29, 56, 57, 58, 83, 84, 85, 2 * 84 + 1, 3 * 57 + 1)
@@ -54,12 +50,10 @@ def test_first_failure_in_a_later_group(name, flat, seed, groups):
     # the least failing trial is in group g > 0 of lane 0, and group 0
     # fails only in lane 1: the least trial is not in the first group
     # that fails
-    trials = 2 * groups
-    per_trial = verdicts(_native.LoopKernel(*flat), name, seed, trials)
+    per_trial = check_budgets(flat, seed, (2 * groups,), (name,))[name]
     bad = [i for i, w in enumerate(per_trial) if w is not None]
     assert 0 < bad[0] < groups
     assert groups in bad
-    check_budgets(flat, seed, (trials,), (name,))
 
 
 @pytest.mark.parametrize("chunk,trials", [(2, 200), (None, 28 * 2048 + 1)])

@@ -3,12 +3,11 @@ result.
 
 `_batch.LoopKernel.sweep_many` draws the stream once, one block of trits
 per lane, and evaluates the six laws on it; `_native` runs one law at a
-time and is the reference.  The reference for a budget of T
-trials is read off per-trial verdicts, each a one-trial `_native` sweep
-started at that trial's state, so every budget up to the largest costs one
-scalar pass.  Most cases lower CHUNK to SMALL_CHUNK, which keeps budgets of
-more than one chunk of lanes cheap for the scalar reference; one mutated
-table runs at the real CHUNK.
+time and is the reference.  The reference for a budget of T trials is
+read off the law's first T `_native` verdicts (`sweep_reference`), so
+every budget up to the largest costs one scalar pass.  Most cases lower
+CHUNK to SMALL_CHUNK, which keeps budgets of more than one chunk of lanes
+cheap for the scalar reference; one mutated table runs at the real CHUNK.
 """
 
 import io
@@ -18,22 +17,14 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from moufang3 import _batch, _native, cli, sweeps, tables
+from moufang3 import _batch, _native, cli, sweeps
 from moufang3.loop import Loop
 
-from test_acceptance import MUTATIONS
+from sweep_reference import GROUPS, NAMES, check_budgets
+from test_acceptance import MUTATIONS, mutated_tables
 from test_batch_parity import SEEDS, flat_tables
 
-NAMES = _native.SWEEP_NAMES
 SMALL_CHUNK = 2
-# what each law draws per trial, written out here rather than read from
-# the kernels: "e" a 19-trit element, "t" a tail on coordinates 11..19
-LAYOUTS = {"moufang": "eee", "left_alternative": "ee",
-           "right_alternative": "ee", "flexible": "ee", "inverse": "e",
-           "tail_central": "et"}
-# trials per lane: a lane holds 1596 trits, and a trial reads its layout
-GROUPS = {name: 1596 // sum(19 if kind == "e" else 9 for kind in layout)
-          for name, layout in LAYOUTS.items()}
 
 
 def budgets(chunk):
@@ -41,36 +32,6 @@ def budgets(chunk):
     # trials per lane needs chunk + 1 lanes for r * chunk + 1 trials
     return (0, 1, 2, 3, 5, 6, 7) + tuple(
         r * chunk + d for r in sorted(set(GROUPS.values())) for d in (-1, 1))
-
-
-def verdicts(ref, name, seed, trials):
-    """Per trial: the witness of a one-trial sweep at its state, or None."""
-    out, state = [], seed
-    for _ in range(trials):
-        violations, _, witness = ref.sweep(name, state, 1)
-        out.append(witness if violations else None)
-        for kind in LAYOUTS[name]:
-            draw = ref.random_element if kind == "e" else ref._random_tail
-            _, state = draw(state)
-    return out
-
-
-def reference(per_trial, trials):
-    """What a `_native` sweep of `trials` trials returns."""
-    bad = [i for i, w in enumerate(per_trial[:trials]) if w is not None]
-    if not bad:
-        return 0, -1, None
-    return len(bad), bad[0], per_trial[bad[0]]
-
-
-def check_budgets(flat, seed, trials_list, names=NAMES):
-    ref, fast = _native.LoopKernel(*flat), _batch.LoopKernel(*flat)
-    per_trial = {n: verdicts(ref, n, seed, max(trials_list)) for n in names}
-    for trials in trials_list:
-        got, seconds = fast.sweep_many(names, seed, trials)
-        assert list(got) == list(seconds) == list(names)
-        for n in names:
-            assert got[n] == reference(per_trial[n], trials), (n, trials)
 
 
 def sparse_table(variables):
@@ -102,12 +63,11 @@ def test_first_failure_in_a_later_group_of_an_earlier_lane(name, seed):
     # the least failing trial is in group g > 0 of its lane, and group 0
     # fails only in a later lane: the minimum over groups is not the first
     # group that fails
-    flat, r, trials = sparse_table(6), GROUPS[name], 400
-    per_trial = verdicts(_native.LoopKernel(*flat), name, seed, trials)
+    flat, r = sparse_table(6), GROUPS[name]
+    per_trial = check_budgets(flat, seed, (400,))[name]
     bad = [i for i, w in enumerate(per_trial) if w is not None]
     assert bad[0] % r > 0
     assert any(i % r == 0 and i // r > bad[0] // r for i in bad)
-    check_budgets(flat, seed, (trials,))
 
 
 def test_first_failure_in_a_later_block_chunk(monkeypatch):
@@ -130,19 +90,44 @@ def test_constant_monomials_match_reference(monkeypatch):
     check_budgets((f, h), 42, (1, 7, budgets(SMALL_CHUNK)[-1]))
 
 
-def test_bad_arguments_rejected_before_any_draw(monkeypatch):
-    def no_draw(*args):
-        raise AssertionError("drew before validating the arguments")
+# seed 0 is a fixed point of xorshift: every draw would be the identity
+BAD_SEEDS = (-1, 1 << 64, 0)
+BAD_TRIALS = (-1, 2.5, True)
 
+
+def no_draw(*args):
+    raise AssertionError("drew before validating the arguments")
+
+
+def test_bad_arguments_rejected_before_any_draw(monkeypatch):
     monkeypatch.setattr(_batch, "draw_columns", no_draw)
     fast = _batch.LoopKernel(*flat_tables())
-    for names, seed, trials in (
-            (("moufang", "frobnicate"), 42, 10),
-            (("inverse", "moufang", "inverse"), 42, 10),
-            (NAMES, -1, 10), (NAMES, 1 << 64, 10),
-            (NAMES, 42, -1)):
+    for names in (("moufang", "frobnicate"), ("inverse", "moufang", "inverse"),
+                  ()):
         with pytest.raises(ValueError):
-            fast.sweep_many(names, seed, trials)
+            fast.sweep_many(names, 42, 10)
+    for seed, trials in ([(seed, 10) for seed in BAD_SEEDS]
+                         + [(42, trials) for trials in BAD_TRIALS]):
+        with pytest.raises(ValueError):
+            fast.sweep_many(NAMES, seed, trials)
+        with pytest.raises(ValueError):
+            sweeps.run_sweep(None, "moufang", seed, trials)
+    with pytest.raises(ValueError, match="; choose from"):
+        sweeps.run_sweep(None, "frobnicate")
+
+
+def test_native_rejects_bad_arguments_before_any_draw(monkeypatch):
+    monkeypatch.setattr(_native, "_trits", no_draw)
+    ref = _native.LoopKernel(*flat_tables())
+    for name, seed in ([("frobnicate", 42)]
+                       + [("moufang", seed) for seed in BAD_SEEDS]):
+        with pytest.raises(ValueError):
+            ref.sweep(name, seed, 10)
+        with pytest.raises(ValueError):
+            ref.verdicts(name, seed)     # at the call, not at the first next()
+    for trials in BAD_TRIALS:
+        with pytest.raises(ValueError):
+            ref.sweep("moufang", 42, trials)
 
 
 def scalar_jump_tables(stride):
@@ -179,12 +164,7 @@ def test_packed_jump_tables_match_scalar_construction(stride):
 @pytest.mark.parametrize("mutation", [None, MUTATIONS[0]],
                          ids=["shipped", MUTATIONS[0][0]])
 def test_run_all_matches_separate_sweeps(mutation):
-    f, h = tables.f_table(), tables.h_table()
-    if mutation is not None:
-        _, which, coord, poly = mutation
-        f = f.with_coord(coord, poly) if which == "f" else f
-        h = h.with_coord(coord, poly) if which == "h" else h
-    lp = Loop(f, h)
+    lp = Loop(*mutated_tables(mutation))
     for seed, trials in ((42, 1), (7, 2000)):
         assert sweeps.run_all(lp, seed, trials) == [
             sweeps.run_sweep(lp, name, seed, trials) for name in NAMES]

@@ -22,7 +22,7 @@ from moufang3.loop import Loop, basis, vec_neg, vec_scale
 from moufang3.polys import Poly
 from moufang3.symbolic import SymbolicLoop
 
-from test_acceptance import MUTATIONS
+from test_acceptance import MUTATIONS, mutated_tables
 
 CLAIMS = ("identity_law", "inverse_law", "moufang", "normal_form")
 SEEDED_EDITS = 240
@@ -177,10 +177,8 @@ def edit_table(text, blocks, rng):
 
 def table_loops():
     yield "shipped", Loop()
-    for label, which, coord, poly in MUTATIONS:
-        f = f_table().with_coord(coord, poly) if which == "f" else f_table()
-        h = h_table().with_coord(coord, poly) if which == "h" else h_table()
-        yield label, Loop(f, h)
+    for mutation in MUTATIONS:
+        yield mutation[0], Loop(*mutated_tables(mutation))
     # a constant monomial reads no coordinate, so it fails every index
     yield "constant in h7", Loop(h=h_table().with_coord(
         7, h_table().coord(7) + Poly.constant(1)))

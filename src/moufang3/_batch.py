@@ -1,4 +1,4 @@
-"""Bit-sliced batched identity sweeps: the pure backend's sweep kernel.
+"""Bit-sliced GF(3) arithmetic: the identity sweeps and the variety count.
 
 `LoopKernel` here is `_native.LoopKernel` with `sweep` replaced and
 `sweep_many` added; products, inverses and draws of single elements stay
@@ -37,11 +37,19 @@ multiplication three, so one product of the loop evaluates the flattened
 f table for every lane at once.  The r groups of a law are stacked side by
 side into planes r lane-widths wide, so one evaluation covers them all;
 laws of one layout share the stacked planes.
+
+Counting: `PolyEvaluator.count_all_zero` evaluates a system of flattened
+polynomials with one lane per point of F_3^n (up to 3^10 lanes; further
+leading coordinates are looped over as constant planes), through the same
+term evaluator `_poly` as the loop's product, and counts the lanes where
+every polynomial's nonzero plane is clear.  `subloops.count_l_set` counts
+the associator variety this way.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import lcm
 from time import perf_counter
 
@@ -79,6 +87,26 @@ def plane_neg(a):
     return a[0], a[0] ^ a[1]
 
 
+def _terms(terms):
+    """A flattened polynomial as (negate, codes) pairs: each coefficient
+    reduced mod 3, zero terms dropped."""
+    return [(coeff % 3 == 2, codes) for coeff, codes in terms if coeff % 3]
+
+
+def _poly(acc, terms, v, ones):
+    """acc plus the polynomial `terms` (see `_terms`) at the planes `v`.
+
+    Each term is a product chain from the lane mask `ones`, so a constant
+    term is `ones` itself and x*x is x's nonzero plane.
+    """
+    for negate, codes in terms:
+        p = (ones, 0)
+        for c in codes:
+            p = plane_mul(p, v[c])
+        acc = plane_add(acc, plane_neg(p) if negate else p)
+    return acc
+
+
 class _Planes:
     """The loop's product and inverse evaluated lane-wise on bit planes.
 
@@ -89,30 +117,18 @@ class _Planes:
     identity = (_ZERO,) * 19
 
     def __init__(self, f_flat, h_flat, ones):
-        self._f = [self._terms(t) for t in f_flat]
-        self._h = [self._terms(t) for t in h_flat]
+        self._f = [_terms(t) for t in f_flat]
+        self._h = [_terms(t) for t in h_flat]
         self._ones = ones
 
-    @staticmethod
-    def _terms(terms):
-        # (negate, codes) with the coefficient reduced mod 3, zeros dropped
-        return [(coeff % 3 == 2, codes) for coeff, codes in terms if coeff % 3]
-
-    def _poly(self, acc, terms, v):
-        for negate, codes in terms:
-            p = (self._ones, 0)
-            for c in codes:
-                p = plane_mul(p, v[c])
-            acc = plane_add(acc, plane_neg(p) if negate else p)
-        return acc
-
     def mul(self, x, y):
-        v = x[:10] + y[:10]
-        return tuple(self._poly(plane_add(a, b), terms, v)
+        v, ones = x[:10] + y[:10], self._ones
+        return tuple(_poly(plane_add(a, b), terms, v, ones)
                      for a, b, terms in zip(x, y, self._f))
 
     def inv(self, x):
-        return tuple(self._poly(plane_neg(a), terms, x)
+        ones = self._ones
+        return tuple(_poly(plane_neg(a), terms, x, ones)
                      for a, terms in zip(x, self._h))
 
     def add(self, x, y):
@@ -130,6 +146,86 @@ def _differ(lhs, rhs):
 def lane_trits(planes, lane):
     """One lane's trits out of a sequence of plane pairs."""
     return tuple(((nz >> lane) & 1) + ((sg >> lane) & 1) for nz, sg in planes)
+
+
+# -- counting the zeros of a polynomial system ---------------------------------
+
+# Coordinates that get a lane each; more are looped over as constants.
+LANE_COORDS = 10
+
+
+@lru_cache(maxsize=None)
+def _point_planes(n):
+    """Plane pairs of coordinates 0..n-1 over the 3^n points of F_3^n.
+
+    Lane L is the point whose coordinate j is digit j of L in base 3, so
+    coordinate j's trits repeat with period 3^(j+1): 3^j zeros, 3^j ones,
+    3^j twos.
+    """
+    out = []
+    for j in range(n):
+        run, periods = 3 ** j, 3 ** (n - j - 1)
+        # int(.., 2) reads the last character as lane 0
+        out.append((int(("1" * (2 * run) + "0" * run) * periods, 2),
+                    int(("1" * run + "0" * (2 * run)) * periods, 2)))
+    return tuple(out)
+
+
+class PolyEvaluator:
+    """Evaluator of flattened polynomials (see polys.flatten_polys) in
+    `nvars` variables: one point at a time, or all 3^nvars at once on bit
+    planes."""
+
+    def __init__(self, flat, nvars):
+        self._polys = [tuple((c, tuple(codes)) for c, codes in terms)
+                       for terms in flat]
+        self.nvars = nvars
+        for terms in self._polys:
+            for _, codes in terms:
+                if any(not 0 <= c < nvars for c in codes):
+                    raise ValueError("factor code out of range")
+
+    def eval_at(self, point):
+        if len(point) != self.nvars:
+            raise ValueError(f"point must have {self.nvars} coordinates")
+        out = []
+        for terms in self._polys:
+            acc = 0
+            for coeff, codes in terms:
+                p = coeff
+                for c in codes:
+                    p *= point[c]
+                    if not p:
+                        break
+                acc += p
+            out.append(acc % 3)
+        return tuple(out)
+
+    def count_all_zero(self):
+        """Count points of F_3^nvars where every polynomial vanishes.
+
+        The last LANE_COORDS coordinates (all of them when there are no
+        more) get one lane per point, from `_point_planes`; each assignment
+        of the leading ones is a pass with those coordinates as constant
+        planes.  A pass evaluates every polynomial once for all its lanes,
+        ORs their nonzero planes, and counts the lanes left clear.
+        """
+        n = self.nvars
+        if n > 16:
+            raise ValueError("refusing to enumerate 3^%d points" % n)
+        lead = max(0, n - LANE_COORDS)
+        lanes = 3 ** (n - lead)
+        ones = (1 << lanes) - 1
+        planes = _point_planes(n - lead)
+        polys = [_terms(terms) for terms in self._polys]
+        count = 0
+        for fixed in product((_ZERO, (ones, 0), (ones, ones)), repeat=lead):
+            v = fixed + planes
+            nonzero = 0
+            for terms in polys:
+                nonzero |= _poly(_ZERO, terms, v, ones)[0]
+            count += lanes - nonzero.bit_count()
+        return count
 
 
 # -- the lane-split xorshift-star stream -------------------------------------

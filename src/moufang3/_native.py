@@ -9,12 +9,14 @@ once where they enter the package (`loop.Loop`'s public methods and
 `symbolic.embed`), never again here.  `LAWS` writes each swept law once,
 over an ops object that provides `mul`, `inv`, `add` and `identity`: a
 `LoopKernel` is itself such an object, `_batch` passes bit planes and
-`symbolic.SymbolicLoop.prove_law` polynomial coordinates.
+`symbolic.SymbolicLoop.prove_law` polynomial coordinates.  Flattened
+polynomial systems are evaluated and counted by `_batch.PolyEvaluator`, not
+here.
 """
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from .errors import ZeroSeed
@@ -194,55 +196,3 @@ class LoopKernel:
                 if first < 0:
                     first, witness = i, drawn
         return violations, first, witness
-
-
-class PolyEvaluator:
-    """Brute-force evaluator for flattened polynomials (see polys.flatten_polys)."""
-
-    def __init__(self, flat, nvars):
-        self._polys = [tuple((c, tuple(codes)) for c, codes in terms)
-                       for terms in flat]
-        self.nvars = nvars
-        for terms in self._polys:
-            for _, codes in terms:
-                if any(not 0 <= c < nvars for c in codes):
-                    raise ValueError("factor code out of range")
-
-    def eval_at(self, point):
-        if len(point) != self.nvars:
-            raise ValueError(f"point must have {self.nvars} coordinates")
-        out = []
-        for terms in self._polys:
-            acc = 0
-            for coeff, codes in terms:
-                p = coeff
-                for c in codes:
-                    p *= point[c]
-                    if not p:
-                        break
-                acc += p
-            out.append(acc % 3)
-        return tuple(out)
-
-    def count_all_zero(self):
-        """Count points of F_3^nvars where every polynomial vanishes."""
-        n = self.nvars
-        if n > 16:
-            raise ValueError("refusing to enumerate 3^%d points" % n)
-        polys = self._polys
-        count = 0
-        for point in product((0, 1, 2), repeat=n):
-            for terms in polys:
-                acc = 0
-                for coeff, codes in terms:
-                    p = coeff
-                    for c in codes:
-                        p *= point[c]
-                        if not p:
-                            break
-                    acc += p
-                if acc % 3:
-                    break
-            else:
-                count += 1
-        return count

@@ -8,10 +8,13 @@ not -- so l_{c,d} is not closed under multiplication -- and all four triple
 associators of {a,b,c,d} vanish even though the loop is nonassociative.
 
 Counting is exact: the associator (x, a, b) only depends on x_1..x_10
-(the tables never read an index above 10), so |l_{a,b}| is a brute-force
-count over 3^10 head assignments times 3^9 free tail extensions.  The count
-is computed twice, through the symbolic variety and through a concrete
-enumeration that never touches polynomial machinery, and the two must agree.
+(the tables never read an index above 10), so |l_{a,b}| is the number of
+the 3^10 heads at which it vanishes, times 3^9 free tail extensions.  The
+count is computed twice, and the two must agree: `count_l_set` evaluates
+the symbolic associator variety at all 3^10 heads at once, one bit-plane
+lane per head (`kernel.PolyEvaluator`), and `brute_count_l_set` enumerates
+the heads one by one through the concrete associator, never touching
+polynomial machinery.
 """
 
 from __future__ import annotations
@@ -147,7 +150,8 @@ def count_l_set(loop: Loop, a: Element, b: Element,
     """Exact |l_{a,b}| via the symbolic associator variety.
 
     Builds the 19 associator coordinate polynomials once, checks they only
-    read x_1..x_10, and counts their common zeros over all 3^10 heads.
+    read x_1..x_10, and counts their common zeros over all 3^10 heads,
+    each polynomial evaluated once on bit planes of one lane per head.
     """
     sym = symbolic if symbolic is not None else SymbolicLoop(loop)
     variety = sym.associator_variety(a, b)

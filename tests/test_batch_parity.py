@@ -99,13 +99,3 @@ def test_plane_arithmetic_matches_gf3():
     assert trits(_batch.plane_add(a, b)) == [gf3.add(x, y) for x, y in pairs]
     assert trits(_batch.plane_mul(a, b)) == [gf3.mul(x, y) for x, y in pairs]
     assert trits(_batch.plane_neg(a)) == [gf3.neg(x) for x, _ in pairs]
-
-
-def test_unknown_sweep_and_bad_seed_rejected():
-    fast = _batch.LoopKernel(*flat_tables())
-    for name in ("frobnicate", "", "_sweep_moufang"):
-        with pytest.raises(ValueError):
-            fast.sweep(name, 42, 10)
-    for seed in (-1, 1 << 64):
-        with pytest.raises(ValueError):
-            fast.sweep("moufang", seed, 10)

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 import moufang3.loop as loop_module
 from moufang3 import (InverseLawViolation, OrderNotFoundWithinCap, ParseError,
-                      ZeroSeed, _batch, _native, basis, f_table,
-                      format_element, h_table, identity, parse_element,
-                      subloops, symbolic, vec_add, vec_neg, vec_scale)
+                      ZeroSeed, basis, format_element, h_table, identity,
+                      parse_element, subloops, symbolic, vec_add, vec_neg,
+                      vec_scale)
 from moufang3.loop import Loop, check_seed
 from moufang3.polys import var
-from moufang3.tables import compile_concrete
 
 # frozen from an independent execution of the generator recipe
 SEED1_ELEMENT = (1, 2, 1, 0, 2, 1, 0, 1, 2, 2, 0, 1, 1, 2, 1, 0, 2, 2, 2)
@@ -169,20 +168,6 @@ def test_each_call_checks_the_callers_elements_once(loop, monkeypatch, call,
     method, *args = call
     getattr(loop, method)(*args)
     assert len(seen) == checks
-
-
-@pytest.mark.parametrize("kind", [_native, _batch])
-def test_kernel_input_validation(kind):
-    k = kind.LoopKernel(compile_concrete(f_table()),
-                        compile_concrete(h_table()))
-    for name in ("frobnicate", "", "_sweep_moufang"):
-        with pytest.raises(ValueError, match="unknown sweep"):
-            k.sweep(name, 42, 10)
-    for seed in (-1, 1 << 64, "7"):
-        with pytest.raises(ValueError, match="64-bit"):
-            k.sweep("moufang", seed, 10)
-    with pytest.raises(ValueError, match="trials must be >= 0"):
-        k.sweep("moufang", 42, -5)
 
 
 # -- divisions --------------------------------------------------------------------

@@ -90,46 +90,6 @@ def test_constant_monomials_match_reference(monkeypatch):
     check_budgets((f, h), 42, (1, 7, budgets(SMALL_CHUNK)[-1]))
 
 
-# seed 0 is a fixed point of xorshift: every draw would be the identity
-BAD_SEEDS = (-1, 1 << 64, 0)
-BAD_TRIALS = (-1, 2.5, True)
-
-
-def no_draw(*args):
-    raise AssertionError("drew before validating the arguments")
-
-
-def test_bad_arguments_rejected_before_any_draw(monkeypatch):
-    monkeypatch.setattr(_batch, "draw_columns", no_draw)
-    fast = _batch.LoopKernel(*flat_tables())
-    for names in (("moufang", "frobnicate"), ("inverse", "moufang", "inverse"),
-                  ()):
-        with pytest.raises(ValueError):
-            fast.sweep_many(names, 42, 10)
-    for seed, trials in ([(seed, 10) for seed in BAD_SEEDS]
-                         + [(42, trials) for trials in BAD_TRIALS]):
-        with pytest.raises(ValueError):
-            fast.sweep_many(NAMES, seed, trials)
-        with pytest.raises(ValueError):
-            sweeps.run_sweep(None, "moufang", seed, trials)
-    with pytest.raises(ValueError, match="; choose from"):
-        sweeps.run_sweep(None, "frobnicate")
-
-
-def test_native_rejects_bad_arguments_before_any_draw(monkeypatch):
-    monkeypatch.setattr(_native, "_trits", no_draw)
-    ref = _native.LoopKernel(*flat_tables())
-    for name, seed in ([("frobnicate", 42)]
-                       + [("moufang", seed) for seed in BAD_SEEDS]):
-        with pytest.raises(ValueError):
-            ref.sweep(name, seed, 10)
-        with pytest.raises(ValueError):
-            ref.verdicts(name, seed)     # at the call, not at the first next()
-    for trials in BAD_TRIALS:
-        with pytest.raises(ValueError):
-            ref.sweep("moufang", 42, trials)
-
-
 def scalar_jump_tables(stride):
     """The jump tables built one unit vector and one step at a time."""
     mask = (1 << 64) - 1

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from moufang3 import (Witness, WitnessFailed, basis, brute_count_l_set,
-                      closure, count_l_set, density_sample, h_table, identity,
-                      in_l_set, is_closed, nonsubloop_witness)
+from moufang3 import (Witness, basis, brute_count_l_set, closure, count_l_set,
+                      density_sample, h_table, identity, in_l_set, is_closed,
+                      nonsubloop_witness)
 from moufang3.loop import Loop, vec_add
 from moufang3.polys import var
 from moufang3.subloops import HEAD_TOTAL, TAIL_FREEDOM

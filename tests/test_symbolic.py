@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moufang3 import (DivisionCheckFailed, Poly, SymbolicLoop, Var, basis,
-                      embed, f_table, generic, h_table, identity, vec_add)
+                      embed, f_table, generic, h_table, identity)
 from moufang3.loop import Loop
 from moufang3.polys import var
 from moufang3.symbolic import assignment_for, nonzero_point

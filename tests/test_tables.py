@@ -10,7 +10,7 @@ transcription semantically as well.
 import pytest
 
 from moufang3 import ValidationFailure, Var, f_table, h_table, validate_tables
-from moufang3.polys import Poly, var
+from moufang3.polys import var
 from moufang3.tables import compile_concrete, parse_table
 
 # one string per coordinate; monomials "±x2.y1" separated by spaces

@@ -39,15 +39,17 @@ Then:
 Monomials are encoded where they enter (`Poly(mapping)`, `from_terms`,
 `coefficient`, `mono_mul`), which rejects a variable outside the four
 blocks or the indices 1..19 with ValueError, accepts the factors in any
-order, merges a repeated variable and reduces exponents by x^3 = x.  They
+order, merges a repeated variable and reduces exponents by x^3 = x; a
+table line enters as the OR of its factors' `field_bit`s (`from_keys`).  They
 are decoded where they leave (`terms`, `__str__`, `flatten_polys`) through
 a memo of the decoded keys.  `substitute`, `evaluate`, `specialize` and
 `variables` work on the keys and take or return Var objects only.
 
 Substitution is the hot path of the symbolic proofs, so it works on the raw
-term dicts and builds no Poly until its result.  It looks up every variable
-the polynomial reads first (an unbound variable raises even behind a zero
-factor), skips each monomial with a factor that is the zero polynomial,
+term dicts and builds no Poly until its result.  Its `Env` has sorted the
+values into zero, one-term and longer, once for all the coordinates of a
+symbolic product; an unbound variable raises even behind a zero factor.
+It skips each monomial with a factor that is the zero polynomial,
 folds the one-term factors into a single term and multiplies the longer
 factors onto it smallest first, through `_mul_terms`, the product
 `Poly.__mul__` uses.
@@ -84,7 +86,7 @@ _TOP = 2 * (len(_SORTED_VARS) - 1)
 _OFFSET = {v: _TOP - 2 * r for r, v in enumerate(_SORTED_VARS)}  # Var -> bit
 _VAR_AT = {off: v for v, off in _OFFSET.items()}
 # per-variable objects that the memo entries below share rather than copy
-_READ_AT = {off: (1 << off, v) for off, v in _VAR_AT.items()}
+_BIT_AT = {off: 1 << off for off in _VAR_AT}
 _FACTORS_AT = {off: ((v, 1), (v, 2)) for off, v in _VAR_AT.items()}
 LOW = sum(1 << off for off in _VAR_AT)     # the low bit of every field
 
@@ -96,6 +98,15 @@ def _var_error(v) -> ValueError:
     if block not in BLOCKS:
         return ValueError(f"unknown variable block {block!r}")
     return ValueError(f"variable index {index} outside 1..{MAX_INDEX}")
+
+
+def field_bit(block: str, index: int) -> int:
+    """The low bit of variable (block, index)'s field: a monomial of
+    distinct variables, each to the first power, is the OR of their bits."""
+    off = _OFFSET.get((block, index))
+    if off is None:
+        raise _var_error((block, index))
+    return 1 << off
 
 
 def _encode(mono: Monomial) -> int:
@@ -151,14 +162,8 @@ def _DECODED(key: int) -> Monomial:
 @_Memo
 def _FACTOR_BITS(key: int) -> tuple:
     """The low field bit of each factor of a key, twice for exponent 2."""
-    return tuple(_READ_AT[off][0] for off in _fields(key & LOW)
+    return tuple(_BIT_AT[off] for off in _fields(key & LOW)
                  for _ in range(1 + (key >> off + 1 & 1)))
-
-
-@_Memo
-def _READS(occ: int) -> tuple:
-    """(low field bit, Var) for each variable of a LOW-masked set."""
-    return tuple(map(_READ_AT.__getitem__, _fields(occ)))
 
 
 def _order(key: int):
@@ -206,11 +211,10 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return acc
 
 
-def _collect(terms: Iterable[tuple[int, Monomial]]) -> dict:
-    """The canonical term dict of (coefficient, tuple monomial) pairs."""
+def _collect(terms: Iterable[tuple[int, int]]) -> dict:
+    """The canonical term dict of (coefficient, key) pairs."""
     acc: dict = {}
-    for coeff, mono in terms:
-        key = _encode(mono)
+    for coeff, key in terms:
         c = (acc.get(key, 0) + coeff) % 3
         if c:
             acc[key] = c
@@ -225,7 +229,7 @@ class Poly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        _set_terms(self, _collect((coeff, mono)
+        _set_terms(self, _collect((coeff, _encode(mono))
                                   for mono, coeff in (terms or {}).items()))
 
     def __setattr__(self, name, value):
@@ -253,13 +257,15 @@ class Poly:
 
     @classmethod
     def variable(cls, block: str, index: int) -> "Poly":
-        off = _OFFSET.get((block, index))
-        if off is None:
-            raise _var_error((block, index))
-        return cls._raw({1 << off: 1})
+        return cls._raw({field_bit(block, index): 1})
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, Monomial]]) -> "Poly":
+        return cls._raw(_collect((c, _encode(m)) for c, m in terms))
+
+    @classmethod
+    def from_keys(cls, terms: Iterable[tuple[int, int]]) -> "Poly":
+        """The sum of (coefficient, key) terms; a key ORs `field_bit`s."""
         return cls._raw(_collect(terms))
 
     # -- queries ----------------------------------------------------------
@@ -343,26 +349,20 @@ class Poly:
         ``env`` must cover every variable occurring in self.  Satisfies
         evaluate(substitute(p, env), s) == evaluate(p, v -> evaluate(env[v], s))
         for every assignment s; the property tests exercise this contract.
+        A plain mapping is made an `Env` of the variables read, per call.
         """
         terms = self._terms
         if not terms:
             return self
-        # one env lookup per variable read; an unbound one raises even
-        # where a zero factor would have cancelled its monomials
-        one = {}     # low field bit -> (key, coeff) of a one-term value
-        many = {}    # low field bit -> terms of a longer value
-        zero = 0
-        for bit, v in _READS[reduce(or_, terms) & LOW]:
-            try:
-                q = env[v]._terms
-            except KeyError:
-                raise UnboundVariable(f"no substitution for {v}") from None
-            if not q:
-                zero |= bit
-            elif len(q) == 1:
-                [one[bit]] = q.items()
-            else:
-                many[bit] = q
+        reads = reduce(or_, terms) & LOW
+        if not isinstance(env, Env):
+            wanted = map(_VAR_AT.__getitem__, _fields(reads))
+            env = Env((v, env[v]) for v in wanted if v in env)
+        bound, zero, one, many = env.kinds
+        if reads & ~bound:
+            # unbound, even where a zero factor would cancel its monomials
+            v = _VAR_AT[(reads & ~bound).bit_length() - 1]
+            raise UnboundVariable(f"no substitution for {v}")
         acc: dict = {}
         get = acc.get
         for mono, coeff in terms.items():
@@ -478,6 +478,30 @@ class Poly:
 
 
 _set_terms = Poly._terms.__set__   # the slot's setter, past __setattr__
+
+
+class Env(dict):
+    """Var -> Poly for many `Poly.substitute` calls, its values sorted once,
+    by field bit, into `kinds`: zero, one term (bit -> (key, coeff)) or
+    longer (bit -> terms).  Later changes are not sorted; every key must be
+    a variable a Poly can hold."""
+
+    __slots__ = ("kinds",)
+
+    def __init__(self, bindings=()):
+        super().__init__(bindings)
+        bound = zero = 0
+        one, many = {}, {}
+        for v, q in self.items():
+            bit, q = 1 << _OFFSET[v], q._terms
+            bound |= bit
+            if not q:
+                zero |= bit
+            elif len(q) == 1:
+                [one[bit]] = q.items()
+            else:
+                many[bit] = q
+        self.kinds = bound, zero, one, many
 
 
 def var(block: str, index: int) -> Poly:

@@ -39,12 +39,12 @@ from . import kernel
 from ._native import LAWS
 from .errors import CanonicalFormBroken, DivisionCheckFailed
 from .loop import Element, Loop, basis, default_loop
-from .polys import Poly, Var, flatten_polys
+from .polys import Env, Poly, Var, flatten_polys
 
 N = 19
 _HEAD = 10  # the tables read coordinates 1..10 only
 _X_HEAD = tuple(Var("x", i) for i in range(1, _HEAD + 1))
-_Y_HEAD = tuple(Var("y", i) for i in range(1, _HEAD + 1))
+_XY_HEAD = _X_HEAD + tuple(Var("y", i) for i in range(1, _HEAD + 1))
 EXTRA_PAIRS = 2  # seeded random pairs `consistency_sweep` adds to (e3, e4)
 
 
@@ -195,22 +195,27 @@ class SymbolicLoop:
 
     def __init__(self, concrete: Loop | None = None):
         self.loop = concrete if concrete is not None else default_loop()
-        self._f = self.loop.f.coords
-        self._h = self.loop.h.coords
+        # (k, f_k), (k, h_k) of the nonzero coordinates; f_1..f_4 always vanish
+        self._f = [(k, p) for k, p in enumerate(self.loop.f.coords) if p]
+        self._h = [(k, p) for k, p in enumerate(self.loop.h.coords) if p]
 
     # -- the ops `LAWS` reads: the two formula applications and `add` ------
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         """Coordinate k of a o b: a_k + b_k + f_k(a, b)."""
-        env = dict(zip(_X_HEAD, a))
-        env.update(zip(_Y_HEAD, b))
-        return tuple([a[k] + b[k] + self._f[k].substitute(env)
-                      for k in range(N)])
+        env = Env(zip(_XY_HEAD, a[:_HEAD] + b[:_HEAD]))
+        out = list(map(Poly.__add__, a, b))
+        for k, p in self._f:
+            out[k] += p.substitute(env)
+        return tuple(out)
 
     def inv(self, a: tuple) -> tuple:
         """Coordinate k of a^-1: -a_k + h_k(a)."""
-        env = dict(zip(_X_HEAD, a))
-        return tuple([-a[k] + self._h[k].substitute(env) for k in range(N)])
+        env = Env(zip(_X_HEAD, a))
+        out = list(map(Poly.__neg__, a))
+        for k, p in self._h:
+            out[k] += p.substitute(env)
+        return tuple(out)
 
     @staticmethod
     def add(a: tuple, b: tuple) -> tuple:
@@ -302,7 +307,7 @@ class SymbolicLoop:
         f and h vanish term by term.
         """
         indices = set()
-        for p in self._f + self._h:
+        for _, p in self._f + self._h:
             for mono, _ in p.terms():
                 read = {v.index for v, _ in mono}
                 if len(read) <= 1:

@@ -6,17 +6,22 @@ the fixture fails everywhere at once.  Both tables have 19 coordinate
 polynomials; the multiplication table f reads the blocks x and y, the
 inverse table h reads block x only, and neither mentions a variable index
 above 10 -- which is why coordinates 11..19 behave centrally.
+
+Tables are read and checked on the packed keys of `polys`: `parse_table`
+ORs each factor's field bit into the key, and `validate_table` checks keys
+against masks and decodes a coordinate only to word its failure.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ValidationFailure
-from .polys import Poly, Var, flatten_polys
+from .polys import BLOCKS, LOW, Poly, Var, field_bit, flatten_polys
 
 N_COORDS = 19
 MAX_VAR_INDEX = 10
@@ -69,12 +74,20 @@ class TableReport(NamedTuple):
     h: TableStats
 
 
+@lru_cache(maxsize=None)
+def _tokens(blocks: tuple[str, ...]) -> dict:
+    """Factor text -> field bit, for each variable a table may read."""
+    return {f"{b}{i}": field_bit(b, i) for b in blocks if b in BLOCKS
+            for i in range(1, MAX_VAR_INDEX + 1)}
+
+
 def parse_table(text: str, name: str, blocks: tuple[str, ...]) -> FormulaTable:
     """Parse "coord; coeff; factors" lines into a FormulaTable.
 
     Blank lines and '#' comments are ignored; a coordinate with no lines is
     the zero polynomial.
     """
+    tokens = _tokens(tuple(blocks))
     terms_by_coord: list[list] = [[] for _ in range(N_COORDS)]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -97,24 +110,26 @@ def parse_table(text: str, name: str, blocks: tuple[str, ...]) -> FormulaTable:
         if coeff not in (1, 2):
             raise ValidationFailure(
                 f"{name} table line {lineno}: coefficient {coeff} not a unit of GF(3)")
-        factors = []
-        for tok in parts[2].split("*"):
-            m = _VAR_RE.match(tok.strip())
-            if not m:
-                raise ValidationFailure(
-                    f"{name} table line {lineno}: bad factor {tok.strip()!r}")
-            v = Var(m.group(1), int(m.group(2)))
-            if v.block not in blocks or not 1 <= v.index <= MAX_VAR_INDEX:
+        factors = parts[2].split("*")
+        key = 0
+        for tok in factors:
+            bit = tokens.get(tok)
+            if bit is None:           # another spelling ("x01"), or a failure
+                m = _VAR_RE.match(tok.strip())
+                if not m:
+                    raise ValidationFailure(
+                        f"{name} table line {lineno}: bad factor {tok.strip()!r}")
+                v = Var(m.group(1), int(m.group(2)))
                 # raised here: a Poly holds only blocks x/y/z/t at 1..19
                 _check_read(name, coord, blocks, v)
-            factors.append(v)
-        if len(set(factors)) != len(factors):
+                bit = field_bit(*v)
+            key |= bit
+        # after the loop, so that a bad factor is reported first
+        if key.bit_count() != len(factors):
             raise ValidationFailure(
                 f"{name} table line {lineno}: repeated factor in monomial")
-        mono = tuple((v, 1) for v in sorted(factors))
-        terms_by_coord[coord - 1].append((coeff, mono))
-    coords = tuple(Poly.from_terms(ts) for ts in terms_by_coord)
-    table = FormulaTable(name, blocks, coords)
+        terms_by_coord[coord - 1].append((coeff, key))
+    table = FormulaTable(name, blocks, tuple(map(Poly.from_keys, terms_by_coord)))
     validate_table(table)
     return table
 
@@ -155,31 +170,34 @@ def _check_read(name: str, k: int, blocks: tuple[str, ...], v: Var) -> None:
 def validate_table(table: FormulaTable) -> TableStats:
     """Check the structural invariants; raise ValidationFailure naming the
     violated invariant and coordinate."""
+    name = table.name
     if len(table.coords) != N_COORDS:
         raise ValidationFailure(
-            f"{table.name} table has {len(table.coords)} coordinates, want {N_COORDS}")
-    support = set()
-    max_deg = 0
-    counts = []
+            f"{name} table has {len(table.coords)} coordinates, want {N_COORDS}")
+    # a key meeting `bad` reads a variable the table may not, or squares one
+    bad = LOW & ~reduce(or_, _tokens(tuple(table.blocks)).values(), 0) | LOW << 1
+    support = max_deg = 0
     for k, p in enumerate(table.coords, start=1):
-        if k <= 4 and not p.is_zero():
-            raise ValidationFailure(
-                f"{table.name}_{k} must be the zero polynomial")
-        counts.append(p.term_count())
-        for mono, _ in p.terms():
-            deg = 0
-            for v, e in mono:
-                _check_read(table.name, k, table.blocks, v)
-                if e != 1:
-                    raise ValidationFailure(
-                        f"{table.name}_{k} has exponent {e} > 1 on {v}")
-                support.add(v.index)
-                deg += e
-            if deg > MAX_DEGREE:
-                raise ValidationFailure(
-                    f"{table.name}_{k} has a monomial of degree {deg} > {MAX_DEGREE}")
-            max_deg = max(max_deg, deg)
-    return TableStats(table.name, tuple(counts), max_deg, frozenset(support))
+        if k <= 4 and p:
+            raise ValidationFailure(f"{name}_{k} must be the zero polynomial")
+        keys = p._terms or (0,)
+        reads, deg = reduce(or_, keys), max(map(int.bit_count, keys))
+        if reads & bad or deg > MAX_DEGREE:
+            # decoded only to word the first failure in term order
+            for mono, _ in p.terms():
+                for v, e in mono:
+                    _check_read(name, k, table.blocks, v)
+                    if e != 1:
+                        raise ValidationFailure(
+                            f"{name}_{k} has exponent {e} > 1 on {v}")
+                if len(mono) > MAX_DEGREE:
+                    raise ValidationFailure(f"{name}_{k} has a monomial of "
+                                            f"degree {len(mono)} > {MAX_DEGREE}")
+        support |= reads
+        max_deg = max(max_deg, deg)
+    support = frozenset(v.index for v in Poly.from_keys([(1, support)]).variables())
+    return TableStats(name, tuple(map(Poly.term_count, table.coords)), max_deg,
+                      support)
 
 
 def validate_tables(f: FormulaTable | None = None,

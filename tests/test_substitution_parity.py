@@ -175,15 +175,8 @@ def edit_table(text, blocks, rng):
     return "\n".join(lines) + "\n"
 
 
-def table_loops():
-    yield "shipped", Loop()
-    for mutation in MUTATIONS:
-        yield mutation[0], Loop(*mutated_tables(mutation))
-    # a constant monomial reads no coordinate, so it fails every index
-    yield "constant in h7", Loop(h=h_table().with_coord(
-        7, h_table().coord(7) + Poly.constant(1)))
-    yield "constant in f12", Loop(f=f_table().with_coord(
-        12, f_table().coord(12) + Poly.constant(2)))
+def seeded_edits():
+    """(label, f text, h text) of the seeded one-monomial edits."""
     f_text = (tables._DATA_DIR / "f_table.txt").read_text()
     h_text = (tables._DATA_DIR / "h_table.txt").read_text()
     rng = random.Random(20151)
@@ -193,8 +186,21 @@ def table_loops():
             f_new = edit_table(f_text, ("x", "y"), rng)
         else:
             h_new = edit_table(h_text, ("x",), rng)
-        yield f"edit {n}", Loop(tables.parse_table(f_new, "f", ("x", "y")),
-                                tables.parse_table(h_new, "h", ("x",)))
+        yield f"edit {n}", f_new, h_new
+
+
+def table_loops():
+    yield "shipped", Loop()
+    for mutation in MUTATIONS:
+        yield mutation[0], Loop(*mutated_tables(mutation))
+    # a constant monomial reads no coordinate, so it fails every index
+    yield "constant in h7", Loop(h=h_table().with_coord(
+        7, h_table().coord(7) + Poly.constant(1)))
+    yield "constant in f12", Loop(f=f_table().with_coord(
+        12, f_table().coord(12) + Poly.constant(2)))
+    for label, f_new, h_new in seeded_edits():
+        yield label, Loop(tables.parse_table(f_new, "f", ("x", "y")),
+                          tables.parse_table(h_new, "h", ("x",)))
 
 
 def report_fields(report):
@@ -204,12 +210,22 @@ def report_fields(report):
 
 def test_proof_reports_match_the_oracle_substitution(monkeypatch):
     refuted = failed_prechecks = 0
+    oracle_calls = 0
+
+    def counted_oracle(self, env):
+        nonlocal oracle_calls
+        oracle_calls += 1
+        return oracle_substitute(self, env)
+
     for label, lp in table_loops():
         sym = SymbolicLoop(lp)
         new = [getattr(sym, "prove_" + c)() for c in CLAIMS]
+        oracle_calls = 0
         with monkeypatch.context() as m:
-            m.setattr(Poly, "substitute", oracle_substitute)
+            m.setattr(Poly, "substitute", counted_oracle)
             old = [getattr(sym, "prove_" + c)() for c in CLAIMS]
+        # the old reports came through the oracle, not the code under test
+        assert oracle_calls > 0, label
         for claim, a, b in zip(CLAIMS, new, old):
             assert report_fields(a) == report_fields(b), (label, claim)
         want = unfiltered_precheck(lp)

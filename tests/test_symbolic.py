@@ -251,10 +251,9 @@ def test_consistency_sweep_rejects_zero_trials(sym):
 def test_symbolic_side_refuses_mismatched_tables(loop):
     # a symbolic side reading corrupted tables cannot even build the
     # associator variety: the symbolic division self-check fires
-    mixed = SymbolicLoop.__new__(SymbolicLoop)
+    mixed = SymbolicLoop(Loop(
+        f_table().with_coord(5, 2 * var("x", 2) * var("y", 2)), h_table()))
     mixed.loop = loop
-    mixed._f = f_table().with_coord(5, 2 * var("x", 2) * var("y", 2)).coords
-    mixed._h = h_table().coords
     with pytest.raises(DivisionCheckFailed):
         mixed.consistency_sweep(seed=7, trials=50)
 
@@ -274,10 +273,8 @@ class _LyingLoop:
 
 
 def test_consistency_sweep_reports_mismatches(loop, sym):
-    broken = SymbolicLoop.__new__(SymbolicLoop)
+    broken = SymbolicLoop(loop)
     broken.loop = _LyingLoop(loop)
-    broken._f = f_table().coords
-    broken._h = h_table().coords
     report = broken.consistency_sweep(seed=7, trials=20)
     assert not report.ok
     assert report.mismatches == 20

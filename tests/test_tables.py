@@ -209,17 +209,57 @@ def test_rejects_squared_factor():
         validate_tables(h=bad)
 
 
-@pytest.mark.parametrize("line", [
-    "5; 2",                      # missing factors
-    "0; 2; x1*x2",               # coordinate out of range
-    "5; 3; x1*x2",               # coefficient not a unit
-    "5; 2; x1*x1",               # repeated factor
-    "5; 2; q1*x2",               # unknown block letter... parsed then block-checked
-    "five; 2; x1*x2",            # non-integer coordinate
-])
+# each bad line as line 4, after a comment, a blank and a good line, and
+# its message verbatim, as the tuple-building parser worded it
+BAD_LINES = {
+    "5; 2": "f table line 4: expected 'coord; coeff; factors'",
+    "5; 2; x1; y1": "f table line 4: expected 'coord; coeff; factors'",
+    "0; 2; x1*x2": "f table line 4: coordinate 0 outside 1..19",
+    "5; 3; x1*x2": "f table line 4: coefficient 3 not a unit of GF(3)",
+    "5; 2; x1*x1": "f table line 4: repeated factor in monomial",
+    "5; 2; q1*x2": "f_5 reads block 'q', allowed ('x', 'y')",
+    "5; 2; w3*y1": "f_5 reads block 'w', allowed ('x', 'y')",
+    "5; 2; x0*y1": "f_5 reads index 0, allowed 1..10",
+    "5; 2; x11*y1": "f_5 reads index 11, allowed 1..10",
+    "5; 2; x25*y1": "f_5 reads index 25, allowed 1..10",
+    "five; 2; x1*x2": "f table line 4: non-integer coord or coeff",
+    "5; 1; x\u0662*y1": "f table line 4: bad factor 'x\u0662'",
+    "5; 2; x1*": "f table line 4: bad factor ''",
+    # every factor is checked before the repeat is
+    "5; 2; x1*x1*w3": "f_5 reads block 'w', allowed ('x', 'y')",
+    "1; 1; x1*y2": "f_1 must be the zero polynomial",
+    "5; 1; x2*y1*x3*y4*x5": "f_5 has a monomial of degree 5 > 4",
+}
+
+
+@pytest.mark.parametrize("line", BAD_LINES)
 def test_parse_table_rejects_bad_lines(line):
-    with pytest.raises(ValidationFailure):
-        parse_table(line, "f", ("x", "y"))
+    with pytest.raises(ValidationFailure) as info:
+        parse_table("# header\n\n5; 2; x2*y1\n" + line, "f", ("x", "y"))
+    assert str(info.value) == BAD_LINES[line]
+
+
+H_BAD_LINES = {
+    "5; 2; y1*x1*y1": "h_5 reads block 'y', allowed ('x',)",
+    "5; 2; x1*x1": "h table line 1: repeated factor in monomial",
+    "1; 1; x1*y2": "h_1 reads block 'y', allowed ('x',)",
+}
+
+
+@pytest.mark.parametrize("line", H_BAD_LINES)
+def test_parse_table_words_h_failures(line):
+    with pytest.raises(ValidationFailure) as info:
+        parse_table(line, "h", ("x",))
+    assert str(info.value) == H_BAD_LINES[line]
+
+
+def test_parse_table_reads_other_spellings_of_a_factor():
+    want = parse_table("5; 2; x1*y1\n", "f", ("x", "y"))
+    for factors in ("y1*x01", " x1 * y1 ", "y001*x1"):
+        assert parse_table(f"5; 2; {factors}\n", "f", ("x", "y")) == want
+    with pytest.raises(ValidationFailure,
+                       match="repeated factor in monomial"):
+        parse_table("5; 2; x1*x01\n", "f", ("x", "y"))
 
 
 def test_parse_table_accepts_comments_and_blanks():

@@ -34,27 +34,26 @@ Arithmetic: a column of trits, one per lane, is two bit-plane ints
 (Boothby & Bradshaw 2009): `nz` has bit i set when lane i's trit is nonzero
 and `sg` when it is 2.  GF(3) addition costs six big-int operations and
 multiplication three, so one product of the loop evaluates the flattened
-f table for every lane at once.  The r groups of a law are stacked side by
-side into planes r lane-widths wide, so one evaluation covers them all;
-laws of one layout share the stacked planes.
+f table for every lane at once, read in the one flat format that the
+scalar kernel reads too (`_native.flat_terms`).  The r groups of a law are
+stacked side by side into planes r lane-widths wide, so one evaluation
+covers them all; laws of one layout share the stacked planes.
 
 Counting: `PolyEvaluator.count_all_zero` evaluates a system of flattened
-polynomials with one lane per point of F_3^n (up to 3^10 lanes; further
-leading coordinates are looped over as constant planes), through the same
-term evaluator `_poly` as the loop's product, and counts the lanes where
-every polynomial's nonzero plane is clear.  `subloops.count_l_set` counts
-the associator variety this way.
+polynomials in at most 10 variables with one lane per point of F_3^n,
+through the same term evaluator `_poly` as the loop's product, and counts
+the lanes where every polynomial's nonzero plane is clear.
+`subloops.count_l_set` counts the associator variety this way.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import lcm
 from time import perf_counter
 
 from . import _native
-from ._native import LAWS, RNG_MULTIPLIER, _check_sweep
+from ._native import LAWS, RNG_MULTIPLIER, _check_sweep, flat_terms
 
 # Lanes drawn and evaluated together; the memory of a pass is bounded by it.
 CHUNK = 2048
@@ -87,23 +86,18 @@ def plane_neg(a):
     return a[0], a[0] ^ a[1]
 
 
-def _terms(terms):
-    """A flattened polynomial as (negate, codes) pairs: each coefficient
-    reduced mod 3, zero terms dropped."""
-    return [(coeff % 3 == 2, codes) for coeff, codes in terms if coeff % 3]
-
-
 def _poly(acc, terms, v, ones):
-    """acc plus the polynomial `terms` (see `_terms`) at the planes `v`.
+    """acc plus the polynomial `terms` (see `_native.flat_terms`) at the
+    planes `v`.
 
     Each term is a product chain from the lane mask `ones`, so a constant
     term is `ones` itself and x*x is x's nonzero plane.
     """
-    for negate, codes in terms:
+    for coeff, codes in terms:
         p = (ones, 0)
         for c in codes:
             p = plane_mul(p, v[c])
-        acc = plane_add(acc, plane_neg(p) if negate else p)
+        acc = plane_add(acc, plane_neg(p) if coeff == 2 else p)
     return acc
 
 
@@ -116,10 +110,8 @@ class _Planes:
 
     identity = (_ZERO,) * 19
 
-    def __init__(self, f_flat, h_flat, ones):
-        self._f = [_terms(t) for t in f_flat]
-        self._h = [_terms(t) for t in h_flat]
-        self._ones = ones
+    def __init__(self, f, h, ones):
+        self._f, self._h, self._ones = f, h, ones
 
     def mul(self, x, y):
         v, ones = x[:10] + y[:10], self._ones
@@ -150,7 +142,7 @@ def lane_trits(planes, lane):
 
 # -- counting the zeros of a polynomial system ---------------------------------
 
-# Coordinates that get a lane each; more are looped over as constants.
+# The most variables `count_all_zero` takes: one lane per point.
 LANE_COORDS = 10
 
 
@@ -173,17 +165,12 @@ def _point_planes(n):
 
 class PolyEvaluator:
     """Evaluator of flattened polynomials (see polys.flatten_polys) in
-    `nvars` variables: one point at a time, or all 3^nvars at once on bit
-    planes."""
+    `nvars` variables: one point at a time, or, in at most LANE_COORDS
+    variables, all 3^nvars at once on bit planes."""
 
     def __init__(self, flat, nvars):
-        self._polys = [tuple((c, tuple(codes)) for c, codes in terms)
-                       for terms in flat]
+        self._polys = flat_terms(flat, nvars)
         self.nvars = nvars
-        for terms in self._polys:
-            for _, codes in terms:
-                if any(not 0 <= c < nvars for c in codes):
-                    raise ValueError("factor code out of range")
 
     def eval_at(self, point):
         if len(point) != self.nvars:
@@ -204,28 +191,19 @@ class PolyEvaluator:
     def count_all_zero(self):
         """Count points of F_3^nvars where every polynomial vanishes.
 
-        The last LANE_COORDS coordinates (all of them when there are no
-        more) get one lane per point, from `_point_planes`; each assignment
-        of the leading ones is a pass with those coordinates as constant
-        planes.  A pass evaluates every polynomial once for all its lanes,
-        ORs their nonzero planes, and counts the lanes left clear.
+        Each point gets a lane, from `_point_planes`, so nvars is at most
+        LANE_COORDS.  Every polynomial is evaluated once for all lanes;
+        their nonzero planes are ORed and the lanes left clear counted.
         """
         n = self.nvars
-        if n > 16:
+        if n > LANE_COORDS:
             raise ValueError("refusing to enumerate 3^%d points" % n)
-        lead = max(0, n - LANE_COORDS)
-        lanes = 3 ** (n - lead)
-        ones = (1 << lanes) - 1
-        planes = _point_planes(n - lead)
-        polys = [_terms(terms) for terms in self._polys]
-        count = 0
-        for fixed in product((_ZERO, (ones, 0), (ones, ones)), repeat=lead):
-            v = fixed + planes
-            nonzero = 0
-            for terms in polys:
-                nonzero |= _poly(_ZERO, terms, v, ones)[0]
-            count += lanes - nonzero.bit_count()
-        return count
+        lanes = 3 ** n
+        ones, planes = (1 << lanes) - 1, _point_planes(n)
+        nonzero = 0
+        for terms in self._polys:
+            nonzero |= _poly(_ZERO, terms, planes, ones)[0]
+        return lanes - nonzero.bit_count()
 
 
 # -- the lane-split xorshift-star stream -------------------------------------

@@ -9,9 +9,10 @@ once where they enter the package (`loop.Loop`'s public methods and
 `symbolic.embed`), never again here.  `LAWS` writes each swept law once,
 over an ops object that provides `mul`, `inv`, `add` and `identity`: a
 `LoopKernel` is itself such an object, `_batch` passes bit planes and
-`symbolic.SymbolicLoop.prove_law` polynomial coordinates.  Flattened
-polynomial systems are evaluated and counted by `_batch.PolyEvaluator`, not
-here.
+`symbolic.SymbolicLoop.prove_law` polynomial coordinates.  `flat_terms`
+builds the one flat format of a polynomial system that both interpreters of
+the tables read, this scalar kernel and `_batch`'s bit planes, where
+`PolyEvaluator` evaluates and counts such systems.
 """
 
 from __future__ import annotations
@@ -94,6 +95,22 @@ def _check_sweep(names, seed, trials):
         raise ValueError("trials must be >= 0")
 
 
+def flat_terms(flat, n, prefix=""):
+    """Per polynomial a tuple of (coeff, codes) terms, coeff in {1, 2} and
+    codes in range(n), a code repeated for a square.
+
+    The codes are checked first, so a zero term with a bad code is refused
+    too; then coefficients are reduced mod 3 and zero terms dropped.
+    """
+    out = []
+    for terms in flat:
+        if any(not 0 <= c < n for _, codes in terms for c in codes):
+            raise ValueError(prefix + "factor code out of range")
+        out.append(tuple((coeff % 3, tuple(codes)) for coeff, codes in terms
+                         if coeff % 3))
+    return out
+
+
 def _add(x, y):
     return tuple((a + b) % 3 for a, b in zip(x, y))
 
@@ -117,12 +134,8 @@ class LoopKernel:
     identity = _IDENTITY
 
     def __init__(self, f_flat, h_flat):
-        self._f = [tuple(terms) for terms in f_flat]
-        self._h = [tuple(terms) for terms in h_flat]
-        for name, table, n in (("f", self._f, 20), ("h", self._h, 10)):
-            for terms in table:
-                if any(not 0 <= c < n for _, codes in terms for c in codes):
-                    raise ValueError(f"{name}-table factor code out of range")
+        self._f = flat_terms(f_flat, 20, "f-table ")
+        self._h = flat_terms(h_flat, 10, "h-table ")
 
     def mul(self, x, y):
         v = x[:10] + y[:10]

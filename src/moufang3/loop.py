@@ -19,9 +19,9 @@ fire on the shipped tables; if one does, it signals a transcription bug.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from . import gf3, kernel, tables
+from . import kernel, tables
 from ._native import _check_seed
 from .errors import (DivisionCheckFailed, InverseLawViolation,
                      OrderNotFoundWithinCap, ParseError)
@@ -46,15 +46,15 @@ def basis(i: int) -> Element:
 
 def vec_add(x: Element, y: Element) -> Element:
     """Coordinatewise sum; vector-space structure, not the loop product."""
-    return tuple(gf3.add(a, b) for a, b in zip(x, y))
+    return tuple((a + b) % 3 for a, b in zip(x, y))
 
 
 def vec_neg(x: Element) -> Element:
-    return tuple(gf3.neg(a) for a in x)
+    return tuple(-a % 3 for a in x)
 
 
 def vec_scale(x: Element, c: int) -> Element:
-    return tuple(gf3.mul(a, c) for a in x)
+    return tuple(a * c % 3 for a in x)
 
 
 def check_element(x) -> Element:
@@ -66,11 +66,6 @@ def check_element(x) -> Element:
         if type(v) is not int or v not in (0, 1, 2):
             raise ValueError(f"coordinate {v!r} is not a GF(3) residue")
     return tuple(x)
-
-
-def support(x: Element) -> tuple:
-    """1-based indices of the nonzero coordinates."""
-    return tuple(i for i, v in enumerate(x, start=1) if v)
 
 
 # -- text formats -----------------------------------------------------------
@@ -257,12 +252,6 @@ class Loop:
     def random_element(self, state: int) -> tuple:
         """One element from 19 xorshift-star draws; returns (element, state)."""
         return self._kernel.random_element(check_seed(state))
-
-    def random_elements(self, state: int, count: int) -> Iterator[Element]:
-        """Convenience stream of `count` elements from one running state."""
-        for _ in range(count):
-            x, state = self.random_element(state)
-            yield x
 
     def identification_table(self) -> list:
         """The 15 commutator/associator identities pinning e_5..e_19 to the

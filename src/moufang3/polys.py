@@ -37,12 +37,13 @@ Then:
   variable must read a later one to make up the degree.
 
 Monomials are encoded where they enter (`Poly(mapping)`, `from_terms`,
-`coefficient`, `mono_mul`), which rejects a variable outside the four
-blocks or the indices 1..19 with ValueError, accepts the factors in any
-order, merges a repeated variable and reduces exponents by x^3 = x; a
-table line enters as the OR of its factors' `field_bit`s (`from_keys`).  They
-are decoded where they leave (`terms`, `__str__`, `flatten_polys`) through
-a memo of the decoded keys.  `substitute`, `evaluate`, `specialize` and
+`coefficient`), which rejects a variable outside the four blocks or the
+indices 1..19 with ValueError, accepts the factors in any order, merges a
+repeated variable and reduces exponents by x^3 = x; a table line enters as
+the OR of its factors' `field_bit`s (`from_keys`).  They are decoded where
+they leave (`terms`, `__str__`, and `flatten_polys`, which writes the one
+flat format that both kernel interpreters read) through a memo of the
+decoded keys.  `substitute`, `evaluate`, `specialize` and
 `variables` work on the keys and take or return Var objects only.
 
 Substitution is the hot path of the symbolic proofs, so it works on the raw
@@ -171,13 +172,6 @@ def _order(key: int):
     return (key.bit_count(), -(key ^ (key & LOW) << 1))
 
 
-def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    """The product of two tuple monomials, reduced by x^3 = x."""
-    a, b = _encode(m1), _encode(m2)
-    both = a & b & LOW
-    return _DECODED[a ^ b ^ both << 1 | both]
-
-
 def _mono_str(m: Monomial) -> str:
     return "*".join(str(v) if e == 1 else f"{v}^2" for v, e in m)
 
@@ -254,10 +248,6 @@ class Poly:
     def constant(cls, c: int) -> "Poly":
         c %= 3
         return cls._raw({_ONE: c} if c else {})
-
-    @classmethod
-    def variable(cls, block: str, index: int) -> "Poly":
-        return cls._raw({field_bit(block, index): 1})
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, Monomial]]) -> "Poly":
@@ -505,12 +495,13 @@ class Env(dict):
 
 
 def var(block: str, index: int) -> Poly:
-    """Shorthand for the single-variable polynomial."""
-    return Poly.variable(block, index)
+    """The single-variable polynomial block_index."""
+    return Poly._raw({field_bit(block, index): 1})
 
 
 def flatten_polys(polys: Sequence[Poly], var_order: Sequence[Var]):
-    """Compile polynomials to the nested-list form the evaluator kernels take.
+    """Compile polynomials to the one flat format the kernels read (see
+    `_native.flat_terms`).
 
     Returns ``list[list[(coeff, (var_position, ...))]]`` where exponent 2 is
     encoded by repeating the position.  Raises UnboundVariable if a

@@ -39,7 +39,7 @@ from . import kernel
 from ._native import LAWS
 from .errors import CanonicalFormBroken, DivisionCheckFailed
 from .loop import Element, Loop, basis, default_loop
-from .polys import Env, Poly, Var, flatten_polys
+from .polys import Env, Poly, Var, flatten_polys, var
 
 N = 19
 _HEAD = 10  # the tables read coordinates 1..10 only
@@ -50,7 +50,7 @@ EXTRA_PAIRS = 2  # seeded random pairs `consistency_sweep` adds to (e3, e4)
 
 def generic(block: str) -> tuple:
     """The generic element of a block: coordinate i is the variable block_i."""
-    return tuple(Poly.variable(block, i) for i in range(1, N + 1))
+    return tuple(var(block, i) for i in range(1, N + 1))
 
 
 def embed(x: Element) -> tuple:

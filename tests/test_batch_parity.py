@@ -1,32 +1,32 @@
 """The batched sweeps must agree bit for bit with the scalar reference.
 
-`_batch.LoopKernel.sweep` runs a chunk of trials per pass on bit planes;
-`_native` runs one trial at a time and is the reference, computed once
-per table, law and seed up to the largest budget and read off per budget.
-Both are pure Python, so these tests always run.
+`_batch.LoopKernel.sweep` runs up to CHUNK lanes per pass on bit planes,
+each lane holding r trials of a law (28 for Moufang up to 84 for the
+inverse law); `_native` runs one trial at a time and is the reference,
+computed once per table, law and seed up to the largest budget and read off
+per budget.  Both are pure Python, so these tests always run.
 """
 
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
-from moufang3 import _batch, _native, gf3, tables
+from moufang3 import _batch, _native
+from moufang3.kernel import PolyEvaluator
 
-from sweep_reference import GROUPS, reference
-from test_acceptance import MUTATIONS, mutated_tables
+from sweep_reference import (GROUPS, NAMES, SEEDS, check_budgets,
+                             flat_tables, reference, sparse_table)
+from test_acceptance import MUTATIONS
 
 CHUNK = _batch.CHUNK
+# trial counts around 2048, not chunk boundaries: a chunk is CHUNK = 2048
+# lanes, r * 2048 trials, so the largest budget fills 74 lanes of one chunk
 TRIALS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1)
-SEEDS = (1, 42, (1 << 64) - 1)
-
-
-def flat_tables(mutation=None):
-    return tuple(map(tables.compile_concrete, mutated_tables(mutation)))
 
 
 @pytest.mark.parametrize("mutation", [None] + MUTATIONS,
                          ids=["shipped"] + [m[0] for m in MUTATIONS])
-@pytest.mark.parametrize("name", _native.SWEEP_NAMES)
+@pytest.mark.parametrize("name", NAMES)
 def test_sweeps_match_reference(mutation, name):
     flat = flat_tables(mutation)
     ref, fast = _native.LoopKernel(*flat), _batch.LoopKernel(*flat)
@@ -39,30 +39,79 @@ def test_sweeps_match_reference(mutation, name):
 
 def test_first_failure_in_a_later_chunk(monkeypatch):
     # a monomial in all 20 head variables breaks flexibility only where
-    # every head coordinate of both factors is nonzero; at this seed the
-    # first failure is trial 2573, in lane 61 of 42 flexibility trials
-    # each, so a CHUNK of 32 lanes puts it in the second chunk
-    monkeypatch.setattr(_batch, "CHUNK", 32)
-    f, h = flat_tables()
-    f[18] = f[18] + [(1, tuple(range(20)))]
+    # every head coordinate of both factors is nonzero.  Flexibility runs
+    # 42 trials per lane; at seed 2 it first fails at trial 2573, in lane
+    # 61, and at seed 1 at trial 173, in lane 4, so chunks of 32 and of 4
+    # lanes put those failures in a later chunk
+    f, h = sparse_table(20)
     ref, fast = _native.LoopKernel(f, h), _batch.LoopKernel(f, h)
-    trials = 2 * 42 * _batch.CHUNK
-    got = fast.sweep("flexible", 2, trials)
-    assert got == ref.sweep("flexible", 2, trials)
-    assert got[1] // 42 >= _batch.CHUNK, got
+    for chunk, seed, chunks in ((32, 2, 2), (4, 1, 3)):
+        monkeypatch.setattr(_batch, "CHUNK", chunk)
+        trials = chunks * GROUPS["flexible"] * chunk
+        want = ref.sweep("flexible", seed, trials)
+        assert fast.sweep("flexible", seed, trials) == want
+        got, _ = fast.sweep_many(NAMES[:5], seed, trials)
+        assert got["flexible"] == want
+        assert want[1] // GROUPS["flexible"] >= chunk, want
 
 
-@pytest.mark.parametrize("name", _native.SWEEP_NAMES)
+@pytest.mark.parametrize("name", NAMES)
 def test_constant_monomials_match_reference(monkeypatch, name):
-    # a constant term is the all-lanes plane; r * CHUNK + 1 trials of a law
-    # of r trials per lane leave one lane in the last chunk
+    # a constant term is the all-lanes plane; at CHUNK 2, r * CHUNK + 1
+    # trials of a law of r trials per lane leave one lane in the last
+    # chunk, and so does 169 = 84 * 2 + 1 for the inverse law
     monkeypatch.setattr(_batch, "CHUNK", 2)
     f, h = flat_tables()
     f[18] = f[18] + [(1, ())]
     h[18] = h[18] + [(2, ())]
-    ref, fast = _native.LoopKernel(f, h), _batch.LoopKernel(f, h)
     trials = GROUPS[name] * _batch.CHUNK + 1
-    assert fast.sweep(name, 42, trials) == ref.sweep(name, 42, trials)
+    per_trial = check_budgets((f, h), 42, (1, 7, trials, 169), (name,))
+    assert _batch.LoopKernel(f, h).sweep(name, 42, trials) == \
+        reference(per_trial[name], trials)
+
+
+def test_unreduced_coefficients_read_as_their_residues():
+    # coefficients 0, 3, 4 and -1 are the residues 0, 0, 1 and 2, so a
+    # table written with them is its reduced twin, in every interpreter
+    f, h = flat_tables()
+    raw_f, raw_h = list(f), list(h)
+    raw_f[18] = f[18] + [(0, (0, 10)), (3, (1,)), (4, (2, 3, 12)),
+                         (-1, (3, 13))]
+    raw_h[18] = h[18] + [(0, (0,)), (3, (1, 2)), (4, (3,)), (-1, (4, 5))]
+    f[18] = f[18] + [(1, (2, 3, 12)), (2, (3, 13))]
+    h[18] = h[18] + [(1, (3,)), (2, (4, 5))]
+    raw, twin = _batch.LoopKernel(raw_f, raw_h), _batch.LoopKernel(f, h)
+    state = 42
+    for _ in range(50):
+        x, state = twin.random_element(state)
+        y, state = twin.random_element(state)
+        assert raw.mul(x, y) == twin.mul(x, y)
+        assert raw.inv(x) == twin.inv(x)
+    want, _ = twin.sweep_many(NAMES, 42, 300)
+    assert raw.sweep_many(NAMES, 42, 300)[0] == want
+    assert want["moufang"][0] > 0 and want["inverse"][0] > 0
+    raw_polys = [[(0, (0,)), (3, (1,)), (4, (0, 1)), (-1, (2, 2))],
+                 [(4, ()), (-1, (1,)), (3, ())]]
+    polys = [[(1, (0, 1)), (2, (2, 2))], [(1, ()), (2, (1,))]]
+    raw_ev, ev = PolyEvaluator(raw_polys, 3), PolyEvaluator(polys, 3)
+    assert raw_ev.count_all_zero() == ev.count_all_zero()
+    for point in product(range(3), repeat=3):
+        assert raw_ev.eval_at(point) == ev.eval_at(point)
+
+
+@pytest.mark.parametrize("build,flat,message", [
+    (_native.LoopKernel, ([[(0, (20,))]] + [[]] * 18, [[]] * 19),
+     "f-table factor code out of range"),
+    (_batch.LoopKernel, ([[]] * 19, [[]] * 18 + [[(0, (10,))]]),
+     "h-table factor code out of range"),
+    (_batch.LoopKernel, ([[(3, (-1,))]] + [[]] * 18, [[]] * 19),
+     "f-table factor code out of range"),
+    (PolyEvaluator, ([[(1, (0,)), (0, (3,))]], 3), "factor code out of range"),
+], ids=["scalar f", "batched h", "batched negative code", "evaluator"])
+def test_zero_terms_with_bad_codes_are_refused(build, flat, message):
+    # the codes are checked before zero terms are dropped
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(*flat)
 
 
 def drain(seed, count):
@@ -96,6 +145,6 @@ def test_plane_arithmetic_matches_gf3():
 
     a = planes([x for x, _ in pairs])
     b = planes([y for _, y in pairs])
-    assert trits(_batch.plane_add(a, b)) == [gf3.add(x, y) for x, y in pairs]
-    assert trits(_batch.plane_mul(a, b)) == [gf3.mul(x, y) for x, y in pairs]
-    assert trits(_batch.plane_neg(a)) == [gf3.neg(x) for x, _ in pairs]
+    assert trits(_batch.plane_add(a, b)) == [(x + y) % 3 for x, y in pairs]
+    assert trits(_batch.plane_mul(a, b)) == [x * y % 3 for x, y in pairs]
+    assert trits(_batch.plane_neg(a)) == [-x % 3 for x, _ in pairs]

@@ -12,8 +12,8 @@ import pytest
 
 from moufang3 import _native
 
+from sweep_reference import SEEDS, flat_tables
 from test_acceptance import MUTATIONS
-from test_batch_parity import SEEDS, flat_tables
 
 MASK64 = (1 << 64) - 1
 BUDGETS = (0, 1, 7, 200)

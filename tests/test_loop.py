@@ -349,11 +349,6 @@ def test_check_seed_accepts_max_uint64():
     assert check_seed((1 << 64) - 1) == (1 << 64) - 1
 
 
-def test_random_elements_stream(loop):
-    xs = list(loop.random_elements(1, 2))
-    assert xs == [SEED1_ELEMENT, SEED1_SECOND]
-
-
 # -- text formats ------------------------------------------------------------------------------
 
 def test_parse_sparse_form():

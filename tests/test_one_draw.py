@@ -12,23 +12,17 @@ import pytest
 
 from moufang3 import _batch
 
-from sweep_reference import NAMES, TRITS, check_budgets
+from sweep_reference import (GROUPS, NAMES, SEEDS, TRITS, check_budgets,
+                             flat_tables, head_table, sparse_table)
 from test_acceptance import MUTATIONS
-from test_batch_parity import SEEDS, flat_tables
-from test_shared_sweeps import scalar_jump_tables, sparse_table
 
-# around 1, 2 and 3 lanes of Moufang (28 trials each), of tail_central (57)
-# and of the inverse law (84)
-BUDGETS = (0, 1, 27, 28, 29, 56, 57, 58, 83, 84, 85, 2 * 84 + 1, 3 * 57 + 1)
-
-
-def head_table(k):
-    """The shipped tables plus x1..xk in f19: x*z differs from z*x for a
-    tail z exactly where x1..xk are all nonzero."""
-    f, h = flat_tables()
-    f[18] = f[18] + [(1, tuple(range(k)))]
-    return f, h
-
+# trial counts around 1, 2 and 3 lanes of Moufang (28 trials each), of
+# tail_central (57) and of the inverse law (84); and, at two lanes a chunk,
+# around the first chunk boundary of every law: r * 2 + 1 trials of a law
+# of r trials per lane need a third lane
+BUDGETS = tuple(sorted(
+    {0, 1, 2, 3, 5, 6, 7, 27, 28, 29, 56, 57, 58, 83, 84, 85, 3 * 57 + 1}
+    | {r * 2 + d for r in GROUPS.values() for d in (-1, 1)}))
 
 # no criterion-10 mutation breaks tail_central; "f19 plus x1..x6" does
 TABLES = {"shipped": flat_tables, "f19 plus x1..x6": lambda: head_table(6),
@@ -43,17 +37,20 @@ def test_one_and_two_lane_chunks_match_reference(monkeypatch, table, seed):
         check_budgets(TABLES[table](), seed, BUDGETS)
 
 
-@pytest.mark.parametrize("name,flat,seed,groups", [
-    ("tail_central", head_table(6), 2, 57),
-    ("inverse", sparse_table(8), 2, 84)])
-def test_first_failure_in_a_later_group(name, flat, seed, groups):
-    # the least failing trial is in group g > 0 of lane 0, and group 0
-    # fails only in lane 1: the least trial is not in the first group
+@pytest.mark.parametrize("name,flat,seed,trials", [
+    ("tail_central", head_table(6), 2, 2 * 57),
+    ("inverse", sparse_table(8), 2, 2 * 84),
+    ("moufang", sparse_table(6), 1, 400),
+    ("inverse", sparse_table(6), 4, 400)])
+def test_first_failure_in_a_later_group(name, flat, seed, trials):
+    # the least failing trial is in group g > 0 of its lane, and group 0
+    # fails only in a later lane: the least trial is not in the first group
     # that fails
-    per_trial = check_budgets(flat, seed, (2 * groups,), (name,))[name]
+    r = GROUPS[name]
+    per_trial = check_budgets(flat, seed, (trials,))[name]
     bad = [i for i, w in enumerate(per_trial) if w is not None]
-    assert 0 < bad[0] < groups
-    assert groups in bad
+    assert bad[0] % r > 0
+    assert any(i % r == 0 and i // r > bad[0] // r for i in bad)
 
 
 @pytest.mark.parametrize("chunk,trials", [(2, 200), (None, 28 * 2048 + 1)])
@@ -94,6 +91,3 @@ def test_pass_time_is_shared_by_trits_read(monkeypatch):
     for name in NAMES:
         assert seconds[name] == pytest.approx(3.0 * TRITS[name] / total)
 
-
-def test_jump_tables_of_the_block():
-    assert _batch._jump_tables(1596) == scalar_jump_tables(1596)

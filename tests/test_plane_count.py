@@ -1,8 +1,9 @@
 """`PolyEvaluator.count_all_zero` counts on bit planes; `eval_at` is scalar.
 
-The count evaluates each polynomial once over one lane per point, so it
-shares no code with `eval_at`, which these tests use as the oracle: the
-number of points of F_3^nvars at which `eval_at` gives all zeros.
+The count evaluates each polynomial once over one lane per point, in at
+most 10 variables, so it shares no code with `eval_at`, which these tests
+use as the oracle: the number of points of F_3^nvars at which `eval_at`
+gives all zeros.
 """
 
 from itertools import product
@@ -37,11 +38,6 @@ def systems(draw):
 @given(systems())
 @example((0, [[(5, ())]]))                          # one point, 5 = 2 there
 @example((0, [[(3, ())], []]))                      # one point, all zero
-# leading coordinates, looped over as constants; x0 + 1 vanishes only at
-# x0 = 2, and x0^2 x1 + x1 tells x1 = 1 from x1 = 2
-@example((11, [[(1, (0,)), (1, ())], [(1, (1, 10)), (2, (5,))]]))
-@example((12, [[(1, (0, 0, 1)), (1, (1,)), (2, (11,))],
-               [(1, (1, 1, 10)), (-1, (5, 6)), (1, ())]]))
 def test_plane_count_matches_pointwise_count(system):
     nvars, flat = system
     ev = PolyEvaluator(flat, nvars)
@@ -59,7 +55,8 @@ def test_plane_count_of_associator_variety(sym, pair, count):
 
 
 def test_plane_count_bounds():
-    assert PolyEvaluator([], 16).count_all_zero() == 3 ** 16
-    with pytest.raises(ValueError, match=r"^refusing to enumerate 3\^17 "
-                                         r"points$"):
-        PolyEvaluator([[]], 17).count_all_zero()
+    assert PolyEvaluator([], 10).count_all_zero() == 3 ** 10
+    for n in (11, 17):
+        with pytest.raises(ValueError, match=rf"^refusing to enumerate 3\^{n} "
+                                             r"points$"):
+            PolyEvaluator([[]], n).count_all_zero()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from moufang3 import Poly, UnboundVariable, Var, var
 from moufang3.kernel import PolyEvaluator
-from moufang3.polys import flatten_polys, mono_mul
+from moufang3.polys import flatten_polys
 
 X1, X2 = var("x", 1), var("x", 2)
 Y1, Y2 = var("y", 1), var("y", 2)
@@ -89,7 +89,6 @@ def test_mul_by_zero():
 
 def test_fourth_power_reduces_to_square():
     assert X1 ** 4 == X1 * X1
-    assert mono_mul(((Var("x", 1), 2),), ((Var("x", 1), 2),)) == ((Var("x", 1), 2),)
 
 
 def test_scalar_multiplication():

@@ -5,9 +5,11 @@ result.
 per lane, and evaluates the six laws on it; `_native` runs one law at a
 time and is the reference.  The reference for a budget of T trials is
 read off the law's first T `_native` verdicts (`sweep_reference`), so
-every budget up to the largest costs one scalar pass.  Most cases lower
-CHUNK to SMALL_CHUNK, which keeps budgets of more than one chunk of lanes
-cheap for the scalar reference; one mutated table runs at the real CHUNK.
+every budget up to the largest costs one scalar pass.  The shared pass is
+compared with it across lane, group and chunk boundaries in
+`test_one_draw`; here one mutated table runs at the real CHUNK, and the
+shared pass must give `run_all`, `run_sweep` and the `verify` report what
+separate sweeps give.
 """
 
 import io
@@ -17,106 +19,25 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from moufang3 import _batch, _native, cli, sweeps
+from moufang3 import _batch, cli, sweeps
 from moufang3.loop import Loop
 
-from sweep_reference import GROUPS, NAMES, check_budgets
+from sweep_reference import (NAMES, check_budgets, flat_tables,
+                             scalar_jump_tables)
 from test_acceptance import MUTATIONS, mutated_tables
-from test_batch_parity import SEEDS, flat_tables
-
-SMALL_CHUNK = 2
-
-
-def budgets(chunk):
-    # around the first chunk boundary in lanes of every law: a law of r
-    # trials per lane needs chunk + 1 lanes for r * chunk + 1 trials
-    return (0, 1, 2, 3, 5, 6, 7) + tuple(
-        r * chunk + d for r in sorted(set(GROUPS.values())) for d in (-1, 1))
-
-
-def sparse_table(variables):
-    """The shipped tables plus x1..xk*y1..yk in f19, k = variables // 2:
-    the laws break only where those head coordinates are all nonzero."""
-    f, h = flat_tables()
-    half = variables // 2
-    f[18] = f[18] + [(1, tuple(range(half)) + tuple(range(10, 10 + half)))]
-    return f, h
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("mutation", [None] + MUTATIONS,
-                         ids=["shipped"] + [m[0] for m in MUTATIONS])
-def test_shared_pass_matches_reference(monkeypatch, mutation, seed):
-    monkeypatch.setattr(_batch, "CHUNK", SMALL_CHUNK)
-    check_budgets(flat_tables(mutation), seed, budgets(SMALL_CHUNK))
 
 
 def test_shared_pass_matches_reference_at_full_chunk():
-    # this mutation breaks all five element-only laws
+    # this mutation breaks all five element-only laws.  The budgets are
+    # trial counts, 2, 3 and 6 * 2048 +- 1: at 28 Moufang trials per lane
+    # the largest fills 439 lanes of one chunk of CHUNK = 2048, so none
+    # crosses a chunk
     mutation = next(m for m in MUTATIONS if m[0] == "f5 swapped variable")
     check_budgets(flat_tables(mutation), 42, tuple(
         m * _batch.CHUNK + d for m in (2, 3, 6) for d in (-1, 1)), NAMES[:5])
 
 
-@pytest.mark.parametrize("name,seed", [("moufang", 1), ("inverse", 4)])
-def test_first_failure_in_a_later_group_of_an_earlier_lane(name, seed):
-    # the least failing trial is in group g > 0 of its lane, and group 0
-    # fails only in a later lane: the minimum over groups is not the first
-    # group that fails
-    flat, r = sparse_table(6), GROUPS[name]
-    per_trial = check_budgets(flat, seed, (400,))[name]
-    bad = [i for i, w in enumerate(per_trial) if w is not None]
-    assert bad[0] % r > 0
-    assert any(i % r == 0 and i // r > bad[0] // r for i in bad)
-
-
-def test_first_failure_in_a_later_block_chunk(monkeypatch):
-    # flexibility runs 42 trials per lane; at this seed it first fails at
-    # trial 173, in lane 4, so in the second chunk of 4 lanes
-    monkeypatch.setattr(_batch, "CHUNK", 4)
-    f, h = sparse_table(20)
-    trials = 3 * GROUPS["flexible"] * _batch.CHUNK
-    got, _ = _batch.LoopKernel(f, h).sweep_many(NAMES[:5], 1, trials)
-    want = _native.LoopKernel(f, h).sweep("flexible", 1, trials)
-    assert got["flexible"] == want
-    assert want[1] // GROUPS["flexible"] >= _batch.CHUNK, want
-
-
-def test_constant_monomials_match_reference(monkeypatch):
-    f, h = flat_tables()
-    f[18] = f[18] + [(1, ())]
-    h[18] = h[18] + [(2, ())]
-    monkeypatch.setattr(_batch, "CHUNK", SMALL_CHUNK)
-    check_budgets((f, h), 42, (1, 7, budgets(SMALL_CHUNK)[-1]))
-
-
-def scalar_jump_tables(stride):
-    """The jump tables built one unit vector and one step at a time."""
-    mask = (1 << 64) - 1
-
-    def step(s):
-        s ^= s >> 12
-        s = (s ^ (s << 25)) & mask
-        return s ^ (s >> 27)
-
-    cols = []
-    for bit in range(64):
-        s = 1 << bit
-        for _ in range(stride):
-            s = step(s)
-        cols.append(s)
-    tables = []
-    for b in range(8):
-        t = [0] * 256
-        for v in range(256):
-            for i in range(8):
-                if v >> i & 1:
-                    t[v] ^= cols[8 * b + i]
-        tables.append(tuple(t))
-    return tuple(tables)
-
-
-@pytest.mark.parametrize("stride", [1, 19, 28, 38, 57, 114])
+@pytest.mark.parametrize("stride", [1, 19, 28, 38, 57, 114, 1596])
 def test_packed_jump_tables_match_scalar_construction(stride):
     assert _batch._jump_tables(stride) == scalar_jump_tables(stride)
 

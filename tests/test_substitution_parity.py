@@ -3,8 +3,8 @@ straightforward reference versions kept here.
 
 `oracle_substitute` is the Poly-object substitution (one Poly temporary per
 factor, multiplied in monomial order) and `oracle_mono_mul` the plain sorted
-merge; neither shares code with `polys._mul_terms` or the packed-key
-arithmetic of `polys.mono_mul`.  `unfiltered_precheck` checks f and h on the
+merge; neither shares code with the packed-key arithmetic of
+`polys._mul_terms`.  `unfiltered_precheck` checks f and h on the
 aligned multiples of every basis vector.  The proof reports are compared on
 the shipped tables, the criterion-10 mutations and seeded one-monomial table
 edits made by a generator local to this file.
@@ -88,7 +88,7 @@ def unfiltered_precheck(lp):
     return failures
 
 
-# -- Hypothesis: substitute, _mul_terms and mono_mul --------------------------
+# -- Hypothesis: substitute and _mul_terms ------------------------------------
 
 XS = (Var("x", 1), Var("x", 2), Var("x", 7))
 YS = (Var("y", 1), Var("y", 2))
@@ -111,13 +111,6 @@ def polys_over(variables, max_terms=5):
 # (left, right) variable sets: overlapping, and disjoint in either order
 PAIRS = [(SOURCE, SOURCE), (XS, YS), (YS, XS), (XS, XS), (SOURCE, ZT),
          (ZT, XS)]
-
-
-@given(st.data())
-def test_mono_mul_matches_merge(data):
-    left, right = data.draw(st.sampled_from(PAIRS))
-    m1, m2 = data.draw(monomials(left)), data.draw(monomials(right))
-    assert polys.mono_mul(m1, m2) == oracle_mono_mul(m1, m2)
 
 
 @given(st.data())

@@ -11,7 +11,7 @@ import pytest
 
 from moufang3 import _batch, _native, sweeps
 
-from test_batch_parity import flat_tables
+from sweep_reference import flat_tables
 
 FLAT = flat_tables()
 

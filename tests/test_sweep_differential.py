@@ -12,8 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from moufang3 import _batch
 
-from sweep_reference import check_budgets
-from test_batch_parity import flat_tables
+from sweep_reference import check_budgets, flat_tables
 
 MAX_SEED = (1 << 64) - 1
 

@@ -5,11 +5,11 @@ result.
 per lane, and evaluates the six laws on it; `_native` runs one law at a
 time and is the reference.  The reference for a budget of T trials is
 read off the law's first T `_native` verdicts (`sweep_reference`), so
-every budget up to the largest costs one scalar pass.  The shared pass is
-compared with it across lane, group and chunk boundaries in
-`test_one_draw`; here one mutated table runs at the real CHUNK, and the
-shared pass must give `run_all`, `run_sweep` and the `verify` report what
-separate sweeps give.
+every budget up to the largest costs one scalar pass.  Most cases lower
+CHUNK to SMALL_CHUNK, which keeps budgets of more than one chunk of lanes
+cheap for the scalar reference; one mutated table runs at the real CHUNK.
+The shared pass must also give `run_all`, `run_sweep` and the `verify`
+report what separate sweeps give.
 """
 
 import io
@@ -19,12 +19,29 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from moufang3 import _batch, cli, sweeps
+from moufang3 import _batch, _native, cli, sweeps
 from moufang3.loop import Loop
 
-from sweep_reference import (NAMES, check_budgets, flat_tables,
-                             scalar_jump_tables)
+from sweep_reference import (GROUPS, NAMES, SEEDS, check_budgets,
+                             flat_tables, scalar_jump_tables, sparse_table)
 from test_acceptance import MUTATIONS, mutated_tables
+
+SMALL_CHUNK = 2
+
+
+def budgets(chunk):
+    # around the first chunk boundary in lanes of every law: a law of r
+    # trials per lane needs chunk + 1 lanes for r * chunk + 1 trials
+    return (0, 1, 2, 3, 5, 6, 7) + tuple(
+        r * chunk + d for r in sorted(set(GROUPS.values())) for d in (-1, 1))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("mutation", [None] + MUTATIONS,
+                         ids=["shipped"] + [m[0] for m in MUTATIONS])
+def test_shared_pass_matches_reference(monkeypatch, mutation, seed):
+    monkeypatch.setattr(_batch, "CHUNK", SMALL_CHUNK)
+    check_budgets(flat_tables(mutation), seed, budgets(SMALL_CHUNK))
 
 
 def test_shared_pass_matches_reference_at_full_chunk():
@@ -35,6 +52,26 @@ def test_shared_pass_matches_reference_at_full_chunk():
     mutation = next(m for m in MUTATIONS if m[0] == "f5 swapped variable")
     check_budgets(flat_tables(mutation), 42, tuple(
         m * _batch.CHUNK + d for m in (2, 3, 6) for d in (-1, 1)), NAMES[:5])
+
+
+def test_first_failure_in_a_later_block_chunk(monkeypatch):
+    # flexibility runs 42 trials per lane; at this seed it first fails at
+    # trial 173, in lane 4, so in the second chunk of 4 lanes
+    monkeypatch.setattr(_batch, "CHUNK", 4)
+    f, h = sparse_table(20)
+    trials = 3 * GROUPS["flexible"] * _batch.CHUNK
+    got, _ = _batch.LoopKernel(f, h).sweep_many(NAMES[:5], 1, trials)
+    want = _native.LoopKernel(f, h).sweep("flexible", 1, trials)
+    assert got["flexible"] == want
+    assert want[1] // GROUPS["flexible"] >= _batch.CHUNK, want
+
+
+def test_constant_monomials_match_reference(monkeypatch):
+    f, h = flat_tables()
+    f[18] = f[18] + [(1, ())]
+    h[18] = h[18] + [(2, ())]
+    monkeypatch.setattr(_batch, "CHUNK", SMALL_CHUNK)
+    check_budgets((f, h), 42, (1, 7, budgets(SMALL_CHUNK)[-1]))
 
 
 @pytest.mark.parametrize("stride", [1, 19, 28, 38, 57, 114, 1596])

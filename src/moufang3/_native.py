@@ -1,17 +1,17 @@
 """Pure-Python scalar kernel and the table of swept laws.
 
 `LoopKernel` evaluates one product, inverse or draw at a time; it is the
-reference that `moufang3._batch`'s bit-sliced sweeps are tested against.
+reference that `moufang3.kernel`'s bit-sliced sweeps are tested against.
 Its one per-trial primitive is `verdicts`, an endless stream of a law's
 outcomes trial by trial; `sweep` is the fold of its first `trials` items.
 It trusts its inputs: elements are 19-tuples of GF(3) residues, checked
 once where they enter the package (`loop.Loop`'s public methods and
 `symbolic.embed`), never again here.  `LAWS` writes each swept law once,
 over an ops object that provides `mul`, `inv`, `add` and `identity`: a
-`LoopKernel` is itself such an object, `_batch` passes bit planes and
+`LoopKernel` is itself such an object, `kernel` passes bit planes and
 `symbolic.SymbolicLoop.prove_law` polynomial coordinates.  `flat_terms`
 builds the one flat format of a polynomial system that both interpreters of
-the tables read, this scalar kernel and `_batch`'s bit planes, where
+the tables read, this scalar kernel and `kernel`'s bit planes, where
 `PolyEvaluator` evaluates and counts such systems.
 """
 
@@ -111,7 +111,8 @@ def flat_terms(flat, n, prefix=""):
     return out
 
 
-def _add(x, y):
+def vec_add(x, y):
+    """Coordinatewise sum; vector-space structure, not the loop product."""
     return tuple((a + b) % 3 for a, b in zip(x, y))
 
 
@@ -130,7 +131,7 @@ def _trits(state, count):
 class LoopKernel:
     """The tables' product and inverse; also the ops `LAWS` reads on elements."""
 
-    add = staticmethod(_add)
+    add = staticmethod(vec_add)
     identity = _IDENTITY
 
     def __init__(self, f_flat, h_flat):

@@ -24,8 +24,8 @@ from typing import NamedTuple
 from . import __version__, kernel, subloops, sweeps, tables
 from .errors import (AmbiguousBracketing, LoopLawError, OrderNotFoundWithinCap,
                      ParseError, ValidationFailure)
-from .loop import (Element, Loop, basis, default_loop, format_element,
-                   identity, parse_element)
+from .loop import (Element, Loop, basis, check_seed, default_loop,
+                   format_element, identity, parse_element)
 from .symbolic import SymbolicLoop
 
 DEFAULT_SEED = 42
@@ -323,6 +323,7 @@ def _make_loop(args) -> Loop:
 def cmd_verify(args) -> int:
     if args.trials < 0:
         raise ValueError("trials must be >= 0")
+    check_seed(args.seed)    # before any check, even when no sweep runs
     loop = _make_loop(args)
     checks = run_verification(loop, args.seed, args.trials, args.symbolic)
     return _emit_report(checks, args)

@@ -22,14 +22,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import kernel, tables
-from ._native import _check_seed
+from ._native import _IDENTITY, _check_seed, vec_add
 from .errors import (DivisionCheckFailed, InverseLawViolation,
                      OrderNotFoundWithinCap, ParseError)
 
 N_COORDS = 19
 Element = tuple  # 19 GF(3) residues
-
-_IDENTITY: Element = (0,) * N_COORDS
 
 
 def identity() -> Element:
@@ -42,11 +40,6 @@ def basis(i: int) -> Element:
     if not 1 <= i <= N_COORDS:
         raise IndexError(f"basis index {i} outside 1..{N_COORDS}")
     return _IDENTITY[: i - 1] + (1,) + _IDENTITY[i:]
-
-
-def vec_add(x: Element, y: Element) -> Element:
-    """Coordinatewise sum; vector-space structure, not the loop product."""
-    return tuple((a + b) % 3 for a, b in zip(x, y))
 
 
 def vec_neg(x: Element) -> Element:

@@ -71,41 +71,39 @@ def closure(loop: Loop, generators, cap: int = 10_000_000) -> ClosureResult:
     if cap < 1:
         raise ValueError("cap must be >= 1")
     gens = tuple(tuple(g) for g in generators)
-    elems = {identity()}
+    # insertion-ordered, so the iteration order is reproducible
+    members = dict.fromkeys([identity()])
     work = []
-    members = []     # stable iteration order for reproducibility
 
     def add(e):
-        if e not in elems:
-            elems.add(e)
+        if e not in members:
+            members[e] = None
             work.append(e)
-            members.append(e)
 
-    members.append(identity())
     for g in gens:
         add(g)
     truncated = False
     while work and not truncated:
         u = work.pop()
         add(loop.inverse(u))
-        if len(elems) > cap:
+        if len(members) > cap:
             truncated = True
             break
         for v in list(members):
             for p in (loop.mul(u, v), loop.mul(v, u)):
                 add(p)
-            if len(elems) > cap:
+            if len(members) > cap:
                 truncated = True
                 break
 
     closed: bool | None
     if truncated:
         closed = None
-    elif len(elems) <= RECHECK_LIMIT:
-        closed = is_closed(loop, elems)
+    elif len(members) <= RECHECK_LIMIT:
+        closed = is_closed(loop, members)
     else:
         closed = True   # guaranteed by saturation; double loop too large
-    return ClosureResult(frozenset(elems), gens, closed, truncated)
+    return ClosureResult(frozenset(members), gens, closed, truncated)
 
 
 def is_closed(loop: Loop, elements) -> bool:

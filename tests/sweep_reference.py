@@ -4,7 +4,7 @@ and the tables, seeds and jump tables the sweep tests share."""
 
 from itertools import islice
 
-from moufang3 import _batch, _native, tables
+from moufang3 import _native, kernel, tables
 
 from test_acceptance import mutated_tables
 
@@ -76,7 +76,7 @@ def reference(per_trial, trials):
 def check_budgets(flat, seed, trials_list, names=NAMES):
     """Compare the shared pass with the reference at every budget; returns
     each law's verdicts up to the largest budget."""
-    ref, fast = _native.LoopKernel(*flat), _batch.LoopKernel(*flat)
+    ref, fast = _native.LoopKernel(*flat), kernel.LoopKernel(*flat)
     per_trial = {n: list(islice(ref.verdicts(n, seed), max(trials_list)))
                  for n in names}
     for trials in trials_list:

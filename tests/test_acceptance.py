@@ -10,11 +10,10 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from moufang3 import (LoopLawError, SymbolicLoop, basis, brute_count_l_set,
-                      closure, count_l_set, density_sample,
+from moufang3 import (SWEEP_NAMES, LoopLawError, SymbolicLoop, basis,
+                      brute_count_l_set, closure, count_l_set, density_sample,
                       f_table, h_table, identity, is_closed,
                       nonsubloop_witness, run_all)
-from moufang3.kernel import SWEEP_NAMES
 from moufang3.loop import Loop
 from moufang3.polys import var
 

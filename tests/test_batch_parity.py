@@ -1,6 +1,6 @@
 """The batched sweeps must agree bit for bit with the scalar reference.
 
-`_batch.LoopKernel.sweep` runs up to CHUNK lanes per pass on bit planes,
+`kernel.LoopKernel.sweep` runs up to CHUNK lanes per pass on bit planes,
 each lane holding r trials of a law (28 for Moufang up to 84 for the
 inverse law); `_native` runs one trial at a time and is the reference,
 computed once per table, law and seed up to the largest budget and read off
@@ -11,14 +11,14 @@ from itertools import islice, product
 
 import pytest
 
-from moufang3 import _batch, _native
+from moufang3 import _native, kernel
 from moufang3.kernel import PolyEvaluator
 
 from sweep_reference import (GROUPS, NAMES, SEEDS, flat_tables, reference,
                              sparse_table)
 from test_acceptance import MUTATIONS
 
-CHUNK = _batch.CHUNK
+CHUNK = kernel.CHUNK
 # trial counts around 2048, not chunk boundaries: a chunk is CHUNK = 2048
 # lanes, r * 2048 trials, so the largest budget fills 74 lanes of one chunk
 TRIALS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1)
@@ -29,7 +29,7 @@ TRIALS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1)
 @pytest.mark.parametrize("name", NAMES)
 def test_sweeps_match_reference(mutation, name):
     flat = flat_tables(mutation)
-    ref, fast = _native.LoopKernel(*flat), _batch.LoopKernel(*flat)
+    ref, fast = _native.LoopKernel(*flat), kernel.LoopKernel(*flat)
     for seed in SEEDS:
         per_trial = list(islice(ref.verdicts(name, seed), max(TRIALS)))
         for trials in TRIALS:
@@ -42,27 +42,27 @@ def test_first_failure_in_a_later_chunk(monkeypatch):
     # every head coordinate of both factors is nonzero; at this seed the
     # first failure is trial 2573, in lane 61 of 42 flexibility trials
     # each, so a CHUNK of 32 lanes puts it in the second chunk
-    monkeypatch.setattr(_batch, "CHUNK", 32)
+    monkeypatch.setattr(kernel, "CHUNK", 32)
     f, h = sparse_table(20)
-    ref, fast = _native.LoopKernel(f, h), _batch.LoopKernel(f, h)
-    trials = 2 * GROUPS["flexible"] * _batch.CHUNK
+    ref, fast = _native.LoopKernel(f, h), kernel.LoopKernel(f, h)
+    trials = 2 * GROUPS["flexible"] * kernel.CHUNK
     want = ref.sweep("flexible", 2, trials)
     assert fast.sweep("flexible", 2, trials) == want
     got, _ = fast.sweep_many(NAMES[:5], 2, trials)
     assert got["flexible"] == want
-    assert want[1] // GROUPS["flexible"] >= _batch.CHUNK, want
+    assert want[1] // GROUPS["flexible"] >= kernel.CHUNK, want
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_constant_monomials_match_reference(monkeypatch, name):
     # a constant term is the all-lanes plane; r * CHUNK + 1 trials of a law
     # of r trials per lane leave one lane in the last chunk
-    monkeypatch.setattr(_batch, "CHUNK", 2)
+    monkeypatch.setattr(kernel, "CHUNK", 2)
     f, h = flat_tables()
     f[18] = f[18] + [(1, ())]
     h[18] = h[18] + [(2, ())]
-    ref, fast = _native.LoopKernel(f, h), _batch.LoopKernel(f, h)
-    trials = GROUPS[name] * _batch.CHUNK + 1
+    ref, fast = _native.LoopKernel(f, h), kernel.LoopKernel(f, h)
+    trials = GROUPS[name] * kernel.CHUNK + 1
     assert fast.sweep(name, 42, trials) == ref.sweep(name, 42, trials)
 
 
@@ -76,7 +76,7 @@ def test_unreduced_coefficients_read_as_their_residues():
     raw_h[18] = h[18] + [(0, (0,)), (3, (1, 2)), (4, (3,)), (-1, (4, 5))]
     f[18] = f[18] + [(1, (2, 3, 12)), (2, (3, 13))]
     h[18] = h[18] + [(1, (3,)), (2, (4, 5))]
-    raw, twin = _batch.LoopKernel(raw_f, raw_h), _batch.LoopKernel(f, h)
+    raw, twin = kernel.LoopKernel(raw_f, raw_h), kernel.LoopKernel(f, h)
     state = 42
     for _ in range(50):
         x, state = twin.random_element(state)
@@ -98,9 +98,9 @@ def test_unreduced_coefficients_read_as_their_residues():
 @pytest.mark.parametrize("build,flat,message", [
     (_native.LoopKernel, ([[(0, (20,))]] + [[]] * 18, [[]] * 19),
      "f-table factor code out of range"),
-    (_batch.LoopKernel, ([[]] * 19, [[]] * 18 + [[(0, (10,))]]),
+    (kernel.LoopKernel, ([[]] * 19, [[]] * 18 + [[(0, (10,))]]),
      "h-table factor code out of range"),
-    (_batch.LoopKernel, ([[(3, (-1,))]] + [[]] * 18, [[]] * 19),
+    (kernel.LoopKernel, ([[(3, (-1,))]] + [[]] * 18, [[]] * 19),
      "f-table factor code out of range"),
     (PolyEvaluator, ([[(1, (0,)), (0, (3,))]], 3), "factor code out of range"),
 ], ids=["scalar f", "batched h", "batched negative code", "evaluator"])
@@ -112,10 +112,10 @@ def test_zero_terms_with_bad_codes_are_refused(build, flat, message):
 
 def drain(seed, count):
     """`count` elements of the reference stream and the state after them."""
-    kernel = _native.LoopKernel([[]] * 19, [[]] * 19)
+    ref = _native.LoopKernel([[]] * 19, [[]] * 19)
     state, trits = seed, []
     for _ in range(count):
-        x, state = kernel.random_element(state)
+        x, state = ref.random_element(state)
         trits.extend(x)
     return trits, state
 
@@ -123,8 +123,8 @@ def drain(seed, count):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("lanes,per_lane", [(1, 1), (7, 3), (CHUNK, 1)])
 def test_lane_split_stream_matches_reference(seed, lanes, per_lane):
-    cols, state = _batch.draw_columns(seed, lanes, 19 * per_lane)
-    got = [t for lane in range(lanes) for t in _batch.lane_trits(cols, lane)]
+    cols, state = kernel.draw_columns(seed, lanes, 19 * per_lane)
+    got = [t for lane in range(lanes) for t in kernel.lane_trits(cols, lane)]
     assert (got, state) == drain(seed, lanes * per_lane)
 
 
@@ -137,10 +137,10 @@ def test_plane_arithmetic_matches_gf3():
         return nz, sg
 
     def trits(pair):
-        return [_batch.lane_trits([pair], i)[0] for i in range(len(pairs))]
+        return [kernel.lane_trits([pair], i)[0] for i in range(len(pairs))]
 
     a = planes([x for x, _ in pairs])
     b = planes([y for _, y in pairs])
-    assert trits(_batch.plane_add(a, b)) == [(x + y) % 3 for x, y in pairs]
-    assert trits(_batch.plane_mul(a, b)) == [x * y % 3 for x, y in pairs]
-    assert trits(_batch.plane_neg(a)) == [-x % 3 for x, _ in pairs]
+    assert trits(kernel.plane_add(a, b)) == [(x + y) % 3 for x, y in pairs]
+    assert trits(kernel.plane_mul(a, b)) == [x * y % 3 for x, y in pairs]
+    assert trits(kernel.plane_neg(a)) == [-x % 3 for x, _ in pairs]

@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from moufang3 import __version__
+from moufang3 import __version__, cli
 from moufang3.cli import eval_expression, main
 from moufang3.errors import AmbiguousBracketing, ParseError
 from moufang3.loop import basis, identity
@@ -289,6 +289,24 @@ def test_verify_bad_seed_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--trials", "10", "--seed", "0")
     assert code == 2
     assert "nonzero" in err
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("seed", ["0", "-1", str(2 ** 64)])
+def test_verify_checks_the_seed_before_any_check(capsys, monkeypatch, seed,
+                                                 via):
+    # even when --trials 0 leaves no sweep to reject the seed
+    ran = []
+    monkeypatch.setattr(cli, "run_verification",
+                        lambda *args: ran.append(args) or [])
+    argv = ["verify", "--trials", "0", "--format", "json"]
+    if via == "flag":
+        argv += ["--seed", seed]
+    else:
+        monkeypatch.setenv("MOUFANG3_SEED", seed)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, ran) == (2, "", [])
+    assert one_line_error(err) and err.startswith("moufang3: rng state must be ")
 
 
 def test_env_overrides_defaults(capsys, monkeypatch):

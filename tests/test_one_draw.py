@@ -1,6 +1,6 @@
 """One lane block for all six sweeps.
 
-`_batch` draws BLOCK = 1596 trits per lane once per chunk and reads every
+`kernel` draws BLOCK = 1596 trits per lane once per chunk and reads every
 law's trials off that draw: Moufang has 28 groups per lane, the alternative
 laws and flexibility 42, the inverse law 84 and `tail_central` 57.  The
 cases here cross those lane, group and chunk boundaries against the
@@ -10,7 +10,7 @@ chunk serves every law, and pin how the pass time is split between laws.
 
 import pytest
 
-from moufang3 import _batch
+from moufang3 import kernel
 
 from sweep_reference import (GROUPS, NAMES, SEEDS, TRITS, check_budgets,
                              flat_tables, head_table, sparse_table)
@@ -29,7 +29,7 @@ TABLES = {"shipped": flat_tables, "f19 plus x1..x6": lambda: head_table(6),
 @pytest.mark.parametrize("table", TABLES)
 def test_one_and_two_lane_chunks_match_reference(monkeypatch, table, seed):
     for chunk in (1, 2):
-        monkeypatch.setattr(_batch, "CHUNK", chunk)
+        monkeypatch.setattr(kernel, "CHUNK", chunk)
         check_budgets(TABLES[table](), seed, BUDGETS)
 
 
@@ -51,37 +51,37 @@ def test_first_failure_in_a_later_group(name, flat, seed, trials):
 
 @pytest.mark.parametrize("chunk,trials", [(2, 200), (None, 28 * 2048 + 1)])
 def test_one_draw_per_chunk_serves_every_law(monkeypatch, chunk, trials):
-    assert _batch.BLOCK == 1596
+    assert kernel.BLOCK == 1596
     if chunk is not None:
-        monkeypatch.setattr(_batch, "CHUNK", chunk)
-    draw_columns, calls = _batch.draw_columns, []
+        monkeypatch.setattr(kernel, "CHUNK", chunk)
+    draw_columns, calls = kernel.draw_columns, []
 
     def spy(state, lanes, stride):
         calls.append((lanes, stride))
         return draw_columns(state, lanes, stride)
 
-    monkeypatch.setattr(_batch, "draw_columns", spy)
-    _batch.LoopKernel(*flat_tables()).sweep_many(NAMES, 42, trials)
+    monkeypatch.setattr(kernel, "draw_columns", spy)
+    kernel.LoopKernel(*flat_tables()).sweep_many(NAMES, 42, trials)
     lanes = -(-trials // 28)             # Moufang has the fewest groups
-    assert len(calls) == -(-lanes // _batch.CHUNK)
+    assert len(calls) == -(-lanes // kernel.CHUNK)
     assert sum(n for n, _ in calls) == lanes
-    assert all(stride == _batch.BLOCK for _, stride in calls)
+    assert all(stride == kernel.BLOCK for _, stride in calls)
 
 
 def test_pass_time_is_shared_by_trits_read(monkeypatch):
     # a clock that moves only while drawing: every law's own time is 0 and
     # each gets the draws in proportion to the trits its trials read
     clock = [0.0]
-    draw_columns = _batch.draw_columns
+    draw_columns = kernel.draw_columns
 
     def slow_draw(*args):
         clock[0] += 1.0
         return draw_columns(*args)
 
-    monkeypatch.setattr(_batch, "perf_counter", lambda: clock[0])
-    monkeypatch.setattr(_batch, "draw_columns", slow_draw)
-    monkeypatch.setattr(_batch, "CHUNK", 1)
-    _, seconds = _batch.LoopKernel(*flat_tables()).sweep_many(NAMES, 42, 60)
+    monkeypatch.setattr(kernel, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(kernel, "draw_columns", slow_draw)
+    monkeypatch.setattr(kernel, "CHUNK", 1)
+    _, seconds = kernel.LoopKernel(*flat_tables()).sweep_many(NAMES, 42, 60)
     assert clock[0] == 3.0
     total = sum(TRITS.values())
     for name in NAMES:

@@ -1,7 +1,7 @@
 """One draw for several sweeps: the shared pass must give each sweep its own
 result.
 
-`_batch.LoopKernel.sweep_many` draws the stream once, one block of trits
+`kernel.LoopKernel.sweep_many` draws the stream once, one block of trits
 per lane, and evaluates the six laws on it; `_native` runs one law at a
 time and is the reference.  The reference for a budget of T trials is
 read off the law's first T `_native` verdicts (`sweep_reference`), so
@@ -19,7 +19,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from moufang3 import _batch, _native, cli, sweeps
+from moufang3 import _native, cli, kernel, sweeps
 from moufang3.loop import Loop
 
 from sweep_reference import (GROUPS, NAMES, SEEDS, check_budgets,
@@ -40,7 +40,7 @@ def budgets(chunk):
 @pytest.mark.parametrize("mutation", [None] + MUTATIONS,
                          ids=["shipped"] + [m[0] for m in MUTATIONS])
 def test_shared_pass_matches_reference(monkeypatch, mutation, seed):
-    monkeypatch.setattr(_batch, "CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(kernel, "CHUNK", SMALL_CHUNK)
     check_budgets(flat_tables(mutation), seed, budgets(SMALL_CHUNK))
 
 
@@ -51,32 +51,32 @@ def test_shared_pass_matches_reference_at_full_chunk():
     # crosses a chunk
     mutation = next(m for m in MUTATIONS if m[0] == "f5 swapped variable")
     check_budgets(flat_tables(mutation), 42, tuple(
-        m * _batch.CHUNK + d for m in (2, 3, 6) for d in (-1, 1)), NAMES[:5])
+        m * kernel.CHUNK + d for m in (2, 3, 6) for d in (-1, 1)), NAMES[:5])
 
 
 def test_first_failure_in_a_later_block_chunk(monkeypatch):
     # flexibility runs 42 trials per lane; at this seed it first fails at
     # trial 173, in lane 4, so in the second chunk of 4 lanes
-    monkeypatch.setattr(_batch, "CHUNK", 4)
+    monkeypatch.setattr(kernel, "CHUNK", 4)
     f, h = sparse_table(20)
-    trials = 3 * GROUPS["flexible"] * _batch.CHUNK
-    got, _ = _batch.LoopKernel(f, h).sweep_many(NAMES[:5], 1, trials)
+    trials = 3 * GROUPS["flexible"] * kernel.CHUNK
+    got, _ = kernel.LoopKernel(f, h).sweep_many(NAMES[:5], 1, trials)
     want = _native.LoopKernel(f, h).sweep("flexible", 1, trials)
     assert got["flexible"] == want
-    assert want[1] // GROUPS["flexible"] >= _batch.CHUNK, want
+    assert want[1] // GROUPS["flexible"] >= kernel.CHUNK, want
 
 
 def test_constant_monomials_match_reference(monkeypatch):
     f, h = flat_tables()
     f[18] = f[18] + [(1, ())]
     h[18] = h[18] + [(2, ())]
-    monkeypatch.setattr(_batch, "CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(kernel, "CHUNK", SMALL_CHUNK)
     check_budgets((f, h), 42, (1, 7, budgets(SMALL_CHUNK)[-1]))
 
 
 @pytest.mark.parametrize("stride", [1, 19, 28, 38, 57, 114, 1596])
 def test_packed_jump_tables_match_scalar_construction(stride):
-    assert _batch._jump_tables(stride) == scalar_jump_tables(stride)
+    assert kernel._jump_tables(stride) == scalar_jump_tables(stride)
 
 
 @pytest.mark.parametrize("mutation", [None, MUTATIONS[0]],
@@ -129,7 +129,7 @@ def test_verify_report_matches_separate_sweeps(monkeypatch, seed):
 
 
 def test_sweep_rows_share_the_pass_time(monkeypatch):
-    sweep_many = _batch.LoopKernel.sweep_many
+    sweep_many = kernel.LoopKernel.sweep_many
     walls = []
 
     def timed(self, *args):
@@ -139,7 +139,7 @@ def test_sweep_rows_share_the_pass_time(monkeypatch):
         finally:
             walls.append(time.perf_counter() - t0)
 
-    monkeypatch.setattr(_batch.LoopKernel, "sweep_many", timed)
+    monkeypatch.setattr(kernel.LoopKernel, "sweep_many", timed)
     _, doc = verify_json("--trials", "20000", "--no-symbolic")
     rows = [c["millis"] for c in doc["checks"]
             if c["name"].startswith("sweep_")]

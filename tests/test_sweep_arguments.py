@@ -2,14 +2,14 @@
 
 `_native._check_sweep` is the one check of a sweep's names, seed and trial
 count.  Each entry point must make it before it draws anything, so the
-stream's first step (`_native._trits`, `_batch.draw_columns`) is replaced by
+stream's first step (`_native._trits`, `kernel.draw_columns`) is replaced by
 a function that fails the test.  Entry points of one name take the cases of
 one name; `verdicts` has no trial count and takes no trial-count case.
 """
 
 import pytest
 
-from moufang3 import _batch, _native, sweeps
+from moufang3 import _native, kernel, sweeps
 
 from sweep_reference import flat_tables
 
@@ -24,10 +24,10 @@ TARGETS = {
                         _native.LoopKernel(*FLAT).verdicts(*names, seed),
                         False, False),
     "batch.sweep": (lambda names, seed, trials:
-                    _batch.LoopKernel(*FLAT).sweep(*names, seed, trials),
+                    kernel.LoopKernel(*FLAT).sweep(*names, seed, trials),
                     False, True),
     "batch.sweep_many": (lambda names, seed, trials:
-                         _batch.LoopKernel(*FLAT).sweep_many(names, seed,
+                         kernel.LoopKernel(*FLAT).sweep_many(names, seed,
                                                              trials),
                          True, True),
     "sweeps.run_sweep": (lambda names, seed, trials:
@@ -75,7 +75,7 @@ def no_draw(*args):
 def test_bad_sweep_arguments_rejected_before_any_draw(monkeypatch, target,
                                                       case):
     monkeypatch.setattr(_native, "_trits", no_draw)
-    monkeypatch.setattr(_batch, "draw_columns", no_draw)
+    monkeypatch.setattr(kernel, "draw_columns", no_draw)
     call = TARGETS[target][0]
     names, seed, trials, message = CASES[case]
     with pytest.raises(ValueError, match=message):

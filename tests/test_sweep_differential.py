@@ -3,14 +3,14 @@
 Each example adds up to two random f terms and one random h term to the
 shipped tables, none of them validated, so the laws fail in varied lanes,
 groups and chunks; draws a seed, a budget and a chunk size; and checks
-that `_batch`'s shared pass gives every law what its `_native` verdicts
+that `kernel`'s shared pass gives every law what its `_native` verdicts
 give for that budget.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from moufang3 import _batch
+from moufang3 import kernel
 
 from sweep_reference import check_budgets, flat_tables
 
@@ -39,5 +39,5 @@ def test_batched_sweeps_match_native_verdicts(f_terms, h_terms, seed, trials,
         for coord, coeff, codes in extra:
             table[coord] = table[coord] + [(coeff, tuple(codes))]
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_batch, "CHUNK", chunk)
+        m.setattr(kernel, "CHUNK", chunk)
         check_budgets((f, h), seed, (trials,))

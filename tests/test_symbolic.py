@@ -10,7 +10,7 @@ from moufang3 import (DivisionCheckFailed, Poly, SymbolicLoop, Var, basis,
                       embed, f_table, generic, h_table, identity)
 from moufang3.loop import Loop
 from moufang3.polys import var
-from moufang3.symbolic import assignment_for, nonzero_point
+from moufang3.symbolic import EXTRA_PAIRS, assignment_for, nonzero_point
 
 elements = st.tuples(*(st.integers(0, 2) for _ in range(19)))
 
@@ -259,17 +259,21 @@ def test_symbolic_side_refuses_mismatched_tables(loop):
 
 
 class _LyingLoop:
-    """Delegates to a real loop but reports wrong products."""
+    """Delegates to a real loop, but the values of its method `lie` have the
+    last coordinate raised by one."""
 
-    def __init__(self, inner):
-        self._inner = inner
-
-    def mul(self, x, y):
-        honest = self._inner.mul(x, y)
-        return honest[:18] + ((honest[18] + 1) % 3,)
+    def __init__(self, inner, lie="mul"):
+        self._inner, self._lie = inner, lie
 
     def __getattr__(self, name):
-        return getattr(self._inner, name)
+        honest = getattr(self._inner, name)
+        if name != self._lie:
+            return honest
+
+        def lying(*args):
+            value = honest(*args)
+            return value[:18] + ((value[18] + 1) % 3,)
+        return lying
 
 
 def test_consistency_sweep_reports_mismatches(loop, sym):
@@ -280,3 +284,17 @@ def test_consistency_sweep_reports_mismatches(loop, sym):
     assert report.mismatches == 20
     assert report.first_mismatch is not None
     assert report.first_mismatch["check"] == "mul"
+
+
+@pytest.mark.parametrize("lie,check,per_trial", [
+    ("inverse", "inverse", 1),
+    ("associator", "associator_variety", 1 + EXTRA_PAIRS),
+])
+def test_consistency_sweep_catches_each_lying_operation(loop, lie, check,
+                                                        per_trial):
+    broken = SymbolicLoop(loop)
+    broken.loop = _LyingLoop(loop, lie)
+    report = broken.consistency_sweep(seed=7, trials=20)
+    assert not report.ok
+    assert report.mismatches == 20 * per_trial
+    assert report.first_mismatch["check"] == check

@@ -27,19 +27,26 @@ RNG_MULTIPLIER = 2685821657736338717
 
 _IDENTITY = (0,) * 19
 
+# trits per draw: "e" an element, "t" a tail on coordinates 11..19
+DRAW_TRITS = {"e": 19, "t": 9}
+
 
 class Law(NamedTuple):
     """One swept identity: lhs(ops, *drawn) == rhs(ops, *drawn).
 
-    `layout` is what a trial draws, in order: "e" a 19-trit element, "t" a
-    tail on coordinates 11..19.  A law of two equations concatenates their
-    sides.
+    `layout` is what a trial draws, in order, as kinds of `DRAW_TRITS`.  A
+    law of two equations concatenates their sides.
     """
 
     description: str
     layout: str
     lhs: Callable
     rhs: Callable
+
+    @property
+    def trits(self):
+        """Trits a trial reads."""
+        return sum(DRAW_TRITS[kind] for kind in self.layout)
 
 
 def _both_products_with_inverse(k, x):
@@ -172,7 +179,7 @@ class LoopKernel:
 
     def random_element(self, state):
         """Draw 19 trits from xorshift-star; returns (element, new state)."""
-        return _trits(state, 19)
+        return _trits(state, DRAW_TRITS["e"])
 
     # -- randomized identity sweeps ------------------------------------------
 
@@ -181,7 +188,7 @@ class LoopKernel:
         elements when the law fails on them, None when it holds.
 
         A trial draws its law's layout from the running state: "e" an
-        element as random_element draws it, "t" 9 trits into coordinates
+        element as random_element draws it, "t" a tail into coordinates
         11..19.  The name and seed are checked at the call, not at the
         first draw.
         """
@@ -192,7 +199,7 @@ class LoopKernel:
         while True:
             drawn = []
             for kind in law.layout:
-                x, s = _trits(s, 19 if kind == "e" else 9)
+                x, s = _trits(s, DRAW_TRITS[kind])
                 drawn.append(x if kind == "e" else (0,) * 10 + x)
             holds = law.lhs(self, *drawn) == law.rhs(self, *drawn)
             yield None if holds else tuple(drawn)

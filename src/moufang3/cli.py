@@ -2,9 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 a verification/computation failed,
 2 usage or parse error.  Reports are deterministic for a fixed command and
-seed; the per-check millisecond timings are the only varying fields.  A
-sweep row's `millis` is its share of the one pass that runs all six
-sweeps, `tail_central` included, on one draw (see `run_verification`).
+seed; the per-check millisecond timings are the only varying fields.  The
+sweep rows split the wall time of the one pass that runs all six sweeps,
+`tail_central` included, by the trits each law's trials read (`sweeps`).
 
 The default seed (42) and trial budget (1000000) can be overridden with the
 environment variables MOUFANG3_SEED and MOUFANG3_TRIALS; explicit flags win
@@ -212,9 +212,8 @@ def run_verification(loop: Loop, seed: int, trials: int,
     """The ordered check list behind `verify`.
 
     A check's `millis` is the wall time of its call, except for the sweep
-    rows: the six sweeps run in one shared kernel pass (see
-    `sweeps.SharedSweeps`), and each row reports its sweep's share of that
-    pass, so the sweep rows sum to the pass's wall time.
+    rows, which split the wall time of the one pass that runs the six sweeps
+    by the trits each law's trials read (see `sweeps.SharedSweeps`).
     """
     checks = []
 
@@ -320,10 +319,15 @@ def _make_loop(args) -> Loop:
     return default_loop()
 
 
-def cmd_verify(args) -> int:
+def _check_seeded(args):
+    """Check --seed and --trials before any work, even where neither is read."""
     if args.trials < 0:
         raise ValueError("trials must be >= 0")
-    check_seed(args.seed)    # before any check, even when no sweep runs
+    check_seed(args.seed)
+
+
+def cmd_verify(args) -> int:
+    _check_seeded(args)
     loop = _make_loop(args)
     checks = run_verification(loop, args.seed, args.trials, args.symbolic)
     return _emit_report(checks, args)
@@ -381,6 +385,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_density(args) -> int:
+    _check_seeded(args)
     loop = _make_loop(args)
     a, b = parse_element(args.a), parse_element(args.b)
     if args.mode == "exact":

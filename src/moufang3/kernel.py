@@ -10,18 +10,18 @@ trial and witness, because every lane consumes the same xorshift-star
 stream and evaluates the same law of `_native.LAWS`, on bit planes.
 
 One block for every law: each lane holds BLOCK consecutive trits of the
-stream, lane L the L-th block.  A trial draws its law's layout ("e" a
-19-trit element, "t" a 9-trit tail on coordinates 11..19), so it reads w
-trits: 57 for Moufang, 38 for each alternative law and flexibility, 19 for
-the inverse law and 28 for `tail_central`.  BLOCK = lcm(57, 38, 19, 28) =
-1596 is the least block that every w divides, so every law's trials tile a
-lane exactly: a law has r = BLOCK / w groups per lane (28, 42, 42, 42, 84
-and 57), and group g of lane L is trial r*L + g, reading trits
-g*w .. g*w + w - 1 of the block.  One draw per chunk therefore serves every
-law, and since all sweeps restart from one seed, `sweep_many` evaluates all
-of them on it.  Each group is masked to the lanes whose trial is below the
-budget; the first failing trial is the least over all groups, and the
-witness is read from that group's lane.
+stream, lane L the L-th block.  A trial draws its law's layout, so it reads
+w = `Law.trits` trits (see `_native.DRAW_TRITS`): 57 for Moufang, 38 for
+each alternative law and flexibility, 19 for the inverse law and 28 for
+`tail_central`.  BLOCK = lcm(57, 38, 19, 28) = 1596 is the least block that
+every w divides, so every law's trials tile a lane exactly: a law has
+r = BLOCK / w groups per lane (28, 42, 42, 42, 84 and 57), and group g of
+lane L is trial r*L + g, reading trits g*w .. g*w + w - 1 of the block.
+One draw per chunk therefore serves every law, and since all sweeps restart
+from one seed, `sweep_many` evaluates all of them on it.  It returns their
+results only; `sweeps.SharedSweeps` times the pass.  Each group is masked
+to the lanes whose trial is below the budget; the first failing trial is
+the least over all groups, and the witness is read from that group's lane.
 
 Stream: lane L starts at the seed advanced by L*BLOCK steps.  Lane start
 states come from that jump-ahead, a GF(2)-linear map of the 64-bit state
@@ -52,10 +52,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from time import perf_counter
 
 from . import _native
-from ._native import LAWS, RNG_MULTIPLIER, _check_sweep, flat_terms
+from ._native import DRAW_TRITS, LAWS, RNG_MULTIPLIER, _check_sweep, flat_terms
 
 BACKEND = "pure"
 
@@ -64,7 +63,6 @@ CHUNK = 2048
 
 _SLOT = 16                             # bytes per lane in the packed state
 _PAD = bytes(_SLOT - 8)
-_DRAW_WIDTH = {"e": 19, "t": 9}        # trits drawn per element kind
 _BYTE_SUM = 0x0101010101010101         # v * this: byte 7 sums v's 8 bytes
 # byte -> b"1" when its residue mod 3 is nonzero / is 2
 _NZ_DIGIT = bytes(b"01"[v % 3 != 0] for v in range(256))
@@ -305,23 +303,18 @@ def draw_columns(state, lanes, stride):
 
 # -- the sweeps ----------------------------------------------------------------
 
-def _width(layout):
-    """Trits a trial of this layout reads."""
-    return sum(_DRAW_WIDTH[kind] for kind in layout)
-
-
 # Trits per lane: the least block that the trials of every law tile.
-BLOCK = lcm(*(_width(law.layout) for law in LAWS.values()))
+BLOCK = lcm(*(law.trits for law in LAWS.values()))
 
 
-def _stack(cols, layout, width):
-    """A layout's drawn elements for every group of a chunk, stacked.
+def _stack(cols, law, width):
+    """A law's drawn elements for every group of a chunk, stacked.
 
-    A trial reads w = _width(layout) trits, so column j of group g is
+    A trial reads w = law.trits trits, so column j of group g is
     cols[g*w + j].  Each group's column is cut to `width` lanes and put at
-    bit g*width; the stacked columns are then split per the layout.
+    bit g*width; the stacked columns are then split per the law's layout.
     """
-    w, keep = _width(layout), (1 << width) - 1
+    w, keep = law.trits, (1 << width) - 1
     stacked = []
     for j in range(w):
         nz = sg = 0
@@ -330,10 +323,10 @@ def _stack(cols, layout, width):
             sg = (sg << width) | (b & keep)
         stacked.append((nz, sg))
     out, at = [], 0
-    for kind in layout:
-        part = tuple(stacked[at:at + _DRAW_WIDTH[kind]])
+    for kind in law.layout:
+        part = tuple(stacked[at:at + DRAW_TRITS[kind]])
         out.append(part if kind == "e" else (_ZERO,) * 10 + part)
-        at += _DRAW_WIDTH[kind]
+        at += DRAW_TRITS[kind]
     return out
 
 
@@ -355,34 +348,23 @@ class LoopKernel(_native.LoopKernel):
 
     def sweep(self, name, seed, trials):
         """Run a named identity sweep; see `_native.LoopKernel.sweep`."""
-        results, _ = self.sweep_many((name,), seed, trials)
-        return results[name]
+        return self.sweep_many((name,), seed, trials)[name]
 
     def sweep_many(self, names, seed, trials):
-        """Several sweeps from one seed, on one draw of the stream.
-
-        Returns (results, seconds), both keyed by name: what
-        `_native.LoopKernel.sweep` returns, and per law its own evaluation
-        time plus a share of the rest of the pass (the draws and the
-        stacking) in proportion to the trits its trials read, so the
-        seconds sum to the wall time of the pass.
-        """
+        """Several sweeps from one seed, on one draw of the stream: what
+        `_native.LoopKernel.sweep` returns, keyed by name."""
         names = tuple(names)
         _check_sweep(names, seed, trials)
-        t_pass = perf_counter()
-        laws = []
-        for name in names:
-            _, layout, lhs, rhs = LAWS[name]
-            laws.append((name, layout, BLOCK // _width(layout), lhs, rhs))
-        lanes_needed = max(-(-trials // r) for _, _, r, _, _ in laws)
+        laws = [(name, LAWS[name], BLOCK // LAWS[name].trits)
+                for name in names]
+        lanes_needed = max(-(-trials // r) for _, _, r in laws)
         found = {name: [0, -1, None] for name in names}
-        own = dict.fromkeys(names, 0.0)
         state = seed
         for start in range(0, lanes_needed, CHUNK):
             lanes = min(CHUNK, lanes_needed - start)
             cols, state = draw_columns(state, lanes, BLOCK)
             stacked = {}
-            for name, layout, r, lhs, rhs in laws:
+            for name, law, r in laws:
                 # lanes of this chunk whose group-g trial is in the budget
                 counts = [min(lanes, -(-(trials - g) // r) - start)
                           for g in range(r)]
@@ -390,25 +372,19 @@ class LoopKernel(_native.LoopKernel):
                 if width <= 0:
                     continue
                 # laws of one layout have the same r, so the same width
-                if layout not in stacked:
-                    stacked[layout] = _stack(cols, layout, width)
-                xs = stacked[layout]
-                t0 = perf_counter()
+                if law.layout not in stacked:
+                    stacked[law.layout] = _stack(cols, law, width)
+                xs = stacked[law.layout]
                 mask = 0
                 for g, n in enumerate(counts):
                     if n > 0:
                         mask |= ((1 << n) - 1) << (g * width)
                 p = _Planes(self._f, self._h, (1 << (r * width)) - 1)
-                bad = _differ(lhs(p, *xs), rhs(p, *xs)) & mask
+                bad = _differ(law.lhs(p, *xs), law.rhs(p, *xs)) & mask
                 if bad:
                     entry = found[name]
                     entry[0] += bad.bit_count()
                     if entry[1] < 0:
                         entry[1], bit = _first_failure(bad, r, width, start)
                         entry[2] = tuple(lane_trits(x, bit) for x in xs)
-                own[name] += perf_counter() - t0
-        rest = perf_counter() - t_pass - sum(own.values())
-        reads = sum(_width(layout) for _, layout, _, _, _ in laws)
-        seconds = {name: own[name] + rest * _width(layout) / reads
-                   for name, layout, _, _, _ in laws}
-        return {name: tuple(found[name]) for name in names}, seconds
+        return {name: tuple(found[name]) for name in names}

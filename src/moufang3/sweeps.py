@@ -11,15 +11,14 @@ Sweeps restart from the same seed, so all six laws read one stream.
 `SharedSweeps` runs the sweeps of one loop, seed and budget in a single
 kernel pass that draws that stream once; passed as
 `run_sweep(..., shared=...)` it gives each sweep the result it would get on
-its own.  Its `seconds` split the pass's wall time between the sweeps: each
-gets its own evaluation plus a share of the shared draws in proportion to
-the trits its trials read (57:38:38:38:19:28 for Moufang, the two
-alternative laws, flexibility, the inverse law and tail centrality), so the
-shares sum to the pass.
+its own.  Its `seconds` give each sweep the pass's wall time in proportion
+to the trits its trials read (57:38:38:38:19:28 for Moufang, the two
+alternative laws, flexibility, the inverse law and tail centrality).
 """
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import NamedTuple
 
 from ._native import LAWS, SWEEP_NAMES, _check_sweep
@@ -61,8 +60,13 @@ class SharedSweeps:
     def result(self, name: str) -> tuple:
         """(violations, first failing trial, witness) of one sweep."""
         if self._results is None:
-            self._results, self.seconds = self.loop._kernel.sweep_many(
+            t0 = perf_counter()
+            self._results = self.loop._kernel.sweep_many(
                 SWEEP_NAMES, self.seed, self.trials)
+            wall = perf_counter() - t0
+            reads = sum(LAWS[n].trits for n in SWEEP_NAMES)
+            self.seconds = {n: wall * LAWS[n].trits / reads
+                            for n in SWEEP_NAMES}
         return self._results[name]
 
 

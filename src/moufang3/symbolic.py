@@ -13,9 +13,9 @@ The strategy is brute expansion with eager reduction, no rewriting
 cleverness: the tables are sparse and of degree <= 4, which keeps the
 coordinates small -- the two sides of the Moufang law reach at most 154
 terms per coordinate (`max_coord_terms` in the proof telemetry).  A
-refuted verdict comes with a concrete counterexample assignment, extracted
-from a surviving monomial and re-checked through the concrete kernel, so a
-symbolic failure is always reproducible as a loop computation.
+refuted verdict comes with a counterexample assignment, extracted from a
+surviving monomial, and both sides recomputed on it by the concrete kernel
+(`tests/test_law_proofs.py`, not the report, checks that they differ).
 
 `prove_law` reads the swept laws, Moufang and the inverse law among them,
 from `_native.LAWS` with the `SymbolicLoop` itself as the ops, as the scalar

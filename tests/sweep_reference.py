@@ -80,8 +80,8 @@ def check_budgets(flat, seed, trials_list, names=NAMES):
     per_trial = {n: list(islice(ref.verdicts(n, seed), max(trials_list)))
                  for n in names}
     for trials in trials_list:
-        got, seconds = fast.sweep_many(names, seed, trials)
-        assert list(got) == list(seconds) == list(names)
+        got = fast.sweep_many(names, seed, trials)
+        assert list(got) == list(names)
         for n in names:
             assert got[n] == reference(per_trial[n], trials), (n, trials)
     return per_trial

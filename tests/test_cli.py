@@ -309,6 +309,38 @@ def test_verify_checks_the_seed_before_any_check(capsys, monkeypatch, seed,
     assert one_line_error(err) and err.startswith("moufang3: rng state must be ")
 
 
+@pytest.mark.parametrize("command", [("verify",),
+                                     ("density", "e3", "e4", "--mode", "exact"),
+                                     ("density", "e3", "e4", "--mode", "sample")],
+                         ids=["verify", "density-exact", "density-sample"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("seed", "0", "rng state must be nonzero"),
+    ("seed", "-1", "rng state must be a 64-bit"),
+    ("seed", str(2 ** 64), "rng state must be a 64-bit"),
+    ("trials", "-5", "trials must be >= 0")],
+    ids=["seed-0", "seed--1", "seed-2**64", "trials--5"])
+def test_seeded_commands_check_seed_and_trials_first(capsys, monkeypatch,
+                                                      command, via, flag,
+                                                      value, message):
+    # exact density reads neither value, and no work may start before the
+    # check
+    ran = []
+    for module, name in ((cli, "run_verification"),
+                         (cli.subloops, "count_l_set"),
+                         (cli.subloops, "density_sample")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k:
+                            ran.append(name))
+    argv = [*command, "--format", "json"]
+    if via == "flag":
+        argv += [f"--{flag}", value]
+    else:
+        monkeypatch.setenv(f"MOUFANG3_{flag.upper()}", value)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, ran) == (2, "", [])
+    assert one_line_error(err) and err.startswith(f"moufang3: {message}")
+
+
 def test_env_overrides_defaults(capsys, monkeypatch):
     monkeypatch.setenv("MOUFANG3_TRIALS", "17")
     monkeypatch.setenv("MOUFANG3_SEED", "99")

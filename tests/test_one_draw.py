@@ -10,7 +10,8 @@ chunk serves every law, and pin how the pass time is split between laws.
 
 import pytest
 
-from moufang3 import kernel
+from moufang3 import _native, kernel, sweeps
+from moufang3.loop import Loop
 
 from sweep_reference import (GROUPS, NAMES, SEEDS, TRITS, check_budgets,
                              flat_tables, head_table, sparse_table)
@@ -68,22 +69,27 @@ def test_one_draw_per_chunk_serves_every_law(monkeypatch, chunk, trials):
     assert all(stride == kernel.BLOCK for _, stride in calls)
 
 
+def test_law_trits_match_the_written_out_counts():
+    assert {name: law.trits for name, law in _native.LAWS.items()} == TRITS
+    assert kernel.BLOCK == 1596
+
+
 def test_pass_time_is_shared_by_trits_read(monkeypatch):
-    # a clock that moves only while drawing: every law's own time is 0 and
-    # each gets the draws in proportion to the trits its trials read
-    clock = [0.0]
-    draw_columns = kernel.draw_columns
+    # a clock that moves only while the kernel's pass runs: each law gets
+    # the pass's wall time in proportion to the trits its trials read
+    clock = [10.0]
+    sweep_many = kernel.LoopKernel.sweep_many
 
-    def slow_draw(*args):
-        clock[0] += 1.0
-        return draw_columns(*args)
+    def slow_pass(self, *args):
+        clock[0] += 3.0
+        return sweep_many(self, *args)
 
-    monkeypatch.setattr(kernel, "perf_counter", lambda: clock[0])
-    monkeypatch.setattr(kernel, "draw_columns", slow_draw)
-    monkeypatch.setattr(kernel, "CHUNK", 1)
-    _, seconds = kernel.LoopKernel(*flat_tables()).sweep_many(NAMES, 42, 60)
-    assert clock[0] == 3.0
+    monkeypatch.setattr(sweeps, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(kernel.LoopKernel, "sweep_many", slow_pass)
+    shared = sweeps.SharedSweeps(Loop(), 42, 60)
+    shared.result("moufang")
     total = sum(TRITS.values())
-    for name in NAMES:
-        assert seconds[name] == pytest.approx(3.0 * TRITS[name] / total)
+    assert total == 218
+    assert shared.seconds == {name: 3.0 * TRITS[name] / total
+                              for name in NAMES}
 

@@ -60,7 +60,7 @@ def test_first_failure_in_a_later_block_chunk(monkeypatch):
     monkeypatch.setattr(kernel, "CHUNK", 4)
     f, h = sparse_table(20)
     trials = 3 * GROUPS["flexible"] * kernel.CHUNK
-    got, _ = kernel.LoopKernel(f, h).sweep_many(NAMES[:5], 1, trials)
+    got = kernel.LoopKernel(f, h).sweep_many(NAMES[:5], 1, trials)
     want = _native.LoopKernel(f, h).sweep("flexible", 1, trials)
     assert got["flexible"] == want
     assert want[1] // GROUPS["flexible"] >= kernel.CHUNK, want

@@ -1,15 +1,18 @@
-"""Pure-Python scalar kernel and the table of swept laws.
+"""The loop's shape, read from here by every module: an element has N
+coordinates, the tables read the first HEAD, the rest are a central tail.
+Also the pure-Python scalar kernel and the table of swept laws.
 
 `LoopKernel` evaluates one product, inverse or draw at a time; it is the
 reference that `moufang3.kernel`'s bit-sliced sweeps are tested against.
 Its one per-trial primitive is `verdicts`, an endless stream of a law's
 outcomes trial by trial; `sweep` is the fold of its first `trials` items.
-It trusts its inputs: elements are 19-tuples of GF(3) residues, checked
+It trusts its inputs: elements are N-tuples of GF(3) residues, checked
 once where they enter the package (`loop.Loop`'s public methods and
 `symbolic.embed`), never again here.  `LAWS` writes each swept law once,
 over an ops object that provides `mul`, `inv`, `add` and `identity`: a
 `LoopKernel` is itself such an object, `kernel` passes bit planes and
-`symbolic.SymbolicLoop.prove_law` polynomial coordinates.  `flat_terms`
+`symbolic.SymbolicLoop.prove_law` polynomial coordinates; `Law.place`
+puts a trial's draw into the ops' `identity` for all three.  `flat_terms`
 builds the one flat format of a polynomial system that both interpreters of
 the tables read, this scalar kernel and `kernel`'s bit planes, where
 `PolyEvaluator` evaluates and counts such systems.
@@ -17,7 +20,7 @@ the tables read, this scalar kernel and `kernel`'s bit planes, where
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, NamedTuple
 
 from .errors import ZeroSeed
@@ -25,28 +28,34 @@ from .errors import ZeroSeed
 MASK64 = (1 << 64) - 1
 RNG_MULTIPLIER = 2685821657736338717
 
-_IDENTITY = (0,) * 19
+N = 19      # coordinates of an element
+HEAD = 10   # the leading coordinates, the only ones the tables read
 
-# trits per draw: "e" an element, "t" a tail on coordinates 11..19
-DRAW_TRITS = {"e": 19, "t": 9}
+_IDENTITY = (0,) * N
 
 
 class Law(NamedTuple):
     """One swept identity: lhs(ops, *drawn) == rhs(ops, *drawn).
 
-    `layout` is what a trial draws, in order, as kinds of `DRAW_TRITS`.  A
-    law of two equations concatenates their sides.
+    `draws` are a trial's trit widths in order, N an element and N - HEAD a
+    tail.  A law of two equations concatenates their sides.
     """
 
     description: str
-    layout: str
+    draws: tuple
     lhs: Callable
     rhs: Callable
 
     @property
     def trits(self):
         """Trits a trial reads."""
-        return sum(DRAW_TRITS[kind] for kind in self.layout)
+        return sum(self.draws)
+
+    def place(self, identity, flat):
+        """A trial's drawn elements: `flat` cut into parts of the widths
+        `draws`, each filling the last coordinates of `identity`."""
+        return [identity[:len(identity) - w] + tuple(flat[end - w:end])
+                for w, end in zip(self.draws, accumulate(self.draws))]
 
 
 def _both_products_with_inverse(k, x):
@@ -55,21 +64,22 @@ def _both_products_with_inverse(k, x):
 
 
 LAWS = {
-    "moufang": Law("(x*y)*(z*x) = (x*(y*z))*x", "eee",
+    "moufang": Law("(x*y)*(z*x) = (x*(y*z))*x", (N, N, N),
                    lambda k, x, y, z: k.mul(k.mul(x, y), k.mul(z, x)),
                    lambda k, x, y, z: k.mul(k.mul(x, k.mul(y, z)), x)),
-    "left_alternative": Law("(x*x)*y = x*(x*y)", "ee",
+    "left_alternative": Law("(x*x)*y = x*(x*y)", (N, N),
                             lambda k, x, y: k.mul(k.mul(x, x), y),
                             lambda k, x, y: k.mul(x, k.mul(x, y))),
-    "right_alternative": Law("(y*x)*x = y*(x*x)", "ee",
+    "right_alternative": Law("(y*x)*x = y*(x*x)", (N, N),
                              lambda k, x, y: k.mul(k.mul(y, x), x),
                              lambda k, x, y: k.mul(y, k.mul(x, x))),
-    "flexible": Law("(x*y)*x = x*(y*x)", "ee",
+    "flexible": Law("(x*y)*x = x*(y*x)", (N, N),
                     lambda k, x, y: k.mul(k.mul(x, y), x),
                     lambda k, x, y: k.mul(x, k.mul(y, x))),
-    "inverse": Law("x*x^-1 = x^-1*x = 1", "e", _both_products_with_inverse,
+    "inverse": Law("x*x^-1 = x^-1*x = 1", (N,), _both_products_with_inverse,
                    lambda k, x: k.identity + k.identity),
-    "tail_central": Law("z supported on 11..19 implies x*z = z*x = x+z", "et",
+    "tail_central": Law("z supported on 11..19 implies x*z = z*x = x+z",
+                        (N, N - HEAD),
                         lambda k, x, z: k.mul(x, z) + k.mul(z, x),
                         lambda k, x, z: k.add(x, z) + k.add(x, z)),
 }
@@ -142,13 +152,13 @@ class LoopKernel:
     identity = _IDENTITY
 
     def __init__(self, f_flat, h_flat):
-        self._f = flat_terms(f_flat, 20, "f-table ")
-        self._h = flat_terms(h_flat, 10, "h-table ")
+        self._f = flat_terms(f_flat, 2 * HEAD, "f-table ")
+        self._h = flat_terms(h_flat, HEAD, "h-table ")
 
     def mul(self, x, y):
-        v = x[:10] + y[:10]
+        v = x[:HEAD] + y[:HEAD]
         out = []
-        for k in range(19):
+        for k in range(N):
             acc = x[k] + y[k]
             for coeff, codes in self._f[k]:
                 p = coeff
@@ -163,7 +173,7 @@ class LoopKernel:
     def inv(self, x):
         """Raw inverse -x + h(x); `loop.Loop.inverse` self-checks it."""
         out = []
-        for k in range(19):
+        for k in range(N):
             acc = 3 - x[k]
             for coeff, codes in self._h[k]:
                 p = coeff
@@ -178,8 +188,8 @@ class LoopKernel:
     # -- deterministic randomness ------------------------------------------
 
     def random_element(self, state):
-        """Draw 19 trits from xorshift-star; returns (element, new state)."""
-        return _trits(state, DRAW_TRITS["e"])
+        """Draw N trits from xorshift-star; returns (element, new state)."""
+        return _trits(state, N)
 
     # -- randomized identity sweeps ------------------------------------------
 
@@ -187,20 +197,17 @@ class LoopKernel:
         """Each trial of a named sweep of `LAWS`, endlessly: its drawn
         elements when the law fails on them, None when it holds.
 
-        A trial draws its law's layout from the running state: "e" an
-        element as random_element draws it, "t" a tail into coordinates
-        11..19.  The name and seed are checked at the call, not at the
-        first draw.
+        A trial draws its law's `trits` from the running state, an element
+        as random_element draws it, and places them (`Law.place`).  The
+        name and seed are checked at the call, not at the first draw.
         """
         _check_sweep((name,), seed, 0)
         return self._verdicts(LAWS[name], seed)
 
     def _verdicts(self, law, s):
         while True:
-            drawn = []
-            for kind in law.layout:
-                x, s = _trits(s, DRAW_TRITS[kind])
-                drawn.append(x if kind == "e" else (0,) * 10 + x)
+            trits, s = _trits(s, law.trits)
+            drawn = law.place(self.identity, trits)
             holds = law.lhs(self, *drawn) == law.rhs(self, *drawn)
             yield None if holds else tuple(drawn)
 

@@ -6,9 +6,9 @@ seed; the per-check millisecond timings are the only varying fields.  The
 sweep rows split the wall time of the one pass that runs all six sweeps,
 `tail_central` included, by the trits each law's trials read (`sweeps`).
 
-The default seed (42) and trial budget (1000000) can be overridden with the
-environment variables MOUFANG3_SEED and MOUFANG3_TRIALS; explicit flags win
-over both.
+The default seed (42) and trial budget (1000000) of `verify` and `density`
+can be overridden with the environment variables MOUFANG3_SEED and
+MOUFANG3_TRIALS, which no other command reads; explicit flags win over both.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import time
 from typing import NamedTuple
 
 from . import __version__, kernel, subloops, sweeps, tables
+from ._native import N
 from .errors import (AmbiguousBracketing, LoopLawError, OrderNotFoundWithinCap,
                      ParseError, ValidationFailure)
 from .loop import (Element, Loop, basis, check_seed, default_loop,
@@ -38,7 +39,7 @@ PROOFS = {"identity": "prove_identity_law", "inverse": "prove_inverse_law",
 
 # -- expression grammar for `eval` -------------------------------------------
 
-_DENSE_RE = re.compile(r"\(\s*[0-2](?:\s*,\s*[0-2]){18}\s*\)")
+_DENSE_RE = re.compile(rf"\(\s*[0-2](?:\s*,\s*[0-2]){{{N - 1}}}\s*\)")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|0")
 _PUNCTUATION = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", "*": "STAR"}
 
@@ -153,8 +154,8 @@ class _ExprParser:
                     idx = tables.ascii_int(text[1:])
                 except ValueError:
                     raise ParseError(f"unknown name {text!r}", pos) from None
-                if not 1 <= idx <= 19:
-                    raise ParseError(f"basis index {idx} outside 1..19", pos)
+                if not 1 <= idx <= N:
+                    raise ParseError(f"basis index {idx} outside 1..{N}", pos)
                 return basis(idx)
             raise ParseError(f"unknown name {text!r}", pos)
         raise ParseError(f"unexpected token {text!r}", pos)
@@ -282,22 +283,20 @@ def run_verification(loop: Loop, seed: int, trials: int,
     return checks
 
 
-def _emit_report(checks, args, extra=None):
+def _emit_report(checks, args):
     overall = all(c.passed for c in checks)
     if args.format == "json":
         doc = {
             "tool_version": __version__,
             "backend": kernel.BACKEND,
-            "seed": getattr(args, "seed", None),
-            "trials": getattr(args, "trials", None),
+            "seed": args.seed,
+            "trials": args.trials,
             "checks": [{"name": c.name,
                         "verdict": "pass" if c.passed else "fail",
                         "details": c.details,
                         "millis": c.millis} for c in checks],
             "overall": "pass" if overall else "fail",
         }
-        if extra:
-            doc.update(extra)
         print(json.dumps(doc, indent=2))
     else:
         for c in checks:
@@ -305,8 +304,8 @@ def _emit_report(checks, args, extra=None):
             detail = "" if c.passed else f"  {c.details}"
             print(f"[{mark}] {c.name} ({c.millis} ms){detail}")
         print(f"overall: {'PASS' if overall else 'FAIL'} "
-              f"(backend {kernel.BACKEND}, seed {getattr(args, 'seed', '-')}, "
-              f"trials {getattr(args, 'trials', '-')})")
+              f"(backend {kernel.BACKEND}, seed {args.seed}, "
+              f"trials {args.trials})")
     return 0 if overall else 1
 
 
@@ -319,8 +318,24 @@ def _make_loop(args) -> Loop:
     return default_loop()
 
 
+def _env_int(name: str, flag, default: int) -> int:
+    """`flag` unless None, else the variable `name`, else `default`; a
+    malformed variable fails even when the flag is given."""
+    raw = os.environ.get(name)
+    try:
+        value = default if raw is None else tables.ascii_int(raw)
+    except ValueError:
+        # a usage error, like a bad flag value: argparse's exit code
+        print(f"moufang3: {name}={raw!r} is not an integer", file=sys.stderr)
+        raise SystemExit(2) from None
+    return value if flag is None else flag
+
+
 def _check_seeded(args):
-    """Check --seed and --trials before any work, even where neither is read."""
+    """Fill in --seed and --trials where not given, and check both before
+    any work, even where neither is read."""
+    args.seed = _env_int("MOUFANG3_SEED", args.seed, DEFAULT_SEED)
+    args.trials = _env_int("MOUFANG3_TRIALS", args.trials, DEFAULT_TRIALS)
     if args.trials < 0:
         raise ValueError("trials must be >= 0")
     check_seed(args.seed)
@@ -425,22 +440,7 @@ def cmd_order(args) -> int:
     return 0
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return tables.ascii_int(raw)
-    except ValueError:
-        # a usage error, like a bad flag value: argparse's exit code
-        print(f"moufang3: {name}={raw!r} is not an integer", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
-    seed_default = _env_int("MOUFANG3_SEED", DEFAULT_SEED)
-    trials_default = _env_int("MOUFANG3_TRIALS", DEFAULT_TRIALS)
-
     parser = argparse.ArgumentParser(
         prog="moufang3",
         description="Exact verification of the order-3^19 Moufang loop "
@@ -453,9 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tables", metavar="DIR", default=None,
                        help="load f_table.txt/h_table.txt from DIR instead "
                             "of the shipped fixtures")
-        if seeded:
-            p.add_argument("--seed", type=tables.ascii_int, default=seed_default)
-            p.add_argument("--trials", type=tables.ascii_int, default=trials_default)
+        if seeded:     # defaults filled in by _check_seeded
+            p.add_argument("--seed", type=tables.ascii_int)
+            p.add_argument("--trials", type=tables.ascii_int)
 
     p = sub.add_parser("verify", help="run the full verification suite")
     common(p, seeded=True)

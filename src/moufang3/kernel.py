@@ -10,13 +10,14 @@ trial and witness, because every lane consumes the same xorshift-star
 stream and evaluates the same law of `_native.LAWS`, on bit planes.
 
 One block for every law: each lane holds BLOCK consecutive trits of the
-stream, lane L the L-th block.  A trial draws its law's layout, so it reads
-w = `Law.trits` trits (see `_native.DRAW_TRITS`): 57 for Moufang, 38 for
-each alternative law and flexibility, 19 for the inverse law and 28 for
-`tail_central`.  BLOCK = lcm(57, 38, 19, 28) = 1596 is the least block that
-every w divides, so every law's trials tile a lane exactly: a law has
-r = BLOCK / w groups per lane (28, 42, 42, 42, 84 and 57), and group g of
-lane L is trial r*L + g, reading trits g*w .. g*w + w - 1 of the block.
+stream, lane L the L-th block.  A trial reads w = `Law.trits` trits, the
+sum of its law's `draws` (N = 19 an element, N - HEAD = 9 a tail): 57 for
+Moufang, 38 for each alternative law and flexibility, 19 for the inverse
+law and 28 for `tail_central`.  BLOCK = lcm(57, 38, 19, 28) = 1596 is the
+least block that every w divides, so every law's trials tile a lane
+exactly: a law has r = BLOCK / w groups per lane (28, 42, 42, 42, 84 and
+57), and group g of lane L is trial r*L + g, reading the block's trits
+g*w .. g*w + w - 1.
 One draw per chunk therefore serves every law, and since all sweeps restart
 from one seed, `sweep_many` evaluates all of them on it.  It returns their
 results only; `sweeps.SharedSweeps` times the pass.  Each group is masked
@@ -39,10 +40,10 @@ multiplication three, so one product of the loop evaluates the flattened
 f table for every lane at once, read in the one flat format that the
 scalar kernel reads too (`_native.flat_terms`).  The r groups of a law are
 stacked side by side into planes r lane-widths wide, so one evaluation
-covers them all; laws of one layout share the stacked planes.
+covers them all; laws of the same `draws` share the stacked planes.
 
 Counting: `PolyEvaluator.count_all_zero` evaluates a system of flattened
-polynomials in at most 10 variables with one lane per point of F_3^n,
+polynomials in at most HEAD variables, one lane per point of F_3^n (a head),
 through the same term evaluator `_poly` as the loop's product, and counts
 the lanes where every polynomial's nonzero plane is clear.
 `subloops.count_l_set` counts the associator variety this way.
@@ -54,7 +55,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import _native
-from ._native import DRAW_TRITS, LAWS, RNG_MULTIPLIER, _check_sweep, flat_terms
+from ._native import HEAD, LAWS, N, RNG_MULTIPLIER, _check_sweep, flat_terms
 
 BACKEND = "pure"
 
@@ -106,17 +107,17 @@ def _poly(acc, terms, v, ones):
 class _Planes:
     """The loop's product and inverse evaluated lane-wise on bit planes.
 
-    An element is a tuple of 19 plane pairs.  Constant monomials need the
+    An element is a tuple of N plane pairs.  Constant monomials need the
     lane mask `ones`; the shipped tables have none.
     """
 
-    identity = (_ZERO,) * 19
+    identity = (_ZERO,) * N
 
     def __init__(self, f, h, ones):
         self._f, self._h, self._ones = f, h, ones
 
     def mul(self, x, y):
-        v, ones = x[:10] + y[:10], self._ones
+        v, ones = x[:HEAD] + y[:HEAD], self._ones
         return tuple(_poly(plane_add(a, b), terms, v, ones)
                      for a, b, terms in zip(x, y, self._f))
 
@@ -144,9 +145,6 @@ def lane_trits(planes, lane):
 
 # -- counting the zeros of a polynomial system ---------------------------------
 
-# The most variables `count_all_zero` takes: one lane per point.
-LANE_COORDS = 10
-
 
 @lru_cache(maxsize=None)
 def _point_planes(n):
@@ -167,7 +165,7 @@ def _point_planes(n):
 
 class PolyEvaluator:
     """Evaluator of flattened polynomials (see polys.flatten_polys) in
-    `nvars` variables: one point at a time, or, in at most LANE_COORDS
+    `nvars` variables: one point at a time, or, in at most HEAD
     variables, all 3^nvars at once on bit planes."""
 
     def __init__(self, flat, nvars):
@@ -194,11 +192,11 @@ class PolyEvaluator:
         """Count points of F_3^nvars where every polynomial vanishes.
 
         Each point gets a lane, from `_point_planes`, so nvars is at most
-        LANE_COORDS.  Every polynomial is evaluated once for all lanes;
+        HEAD.  Every polynomial is evaluated once for all lanes;
         their nonzero planes are ORed and the lanes left clear counted.
         """
         n = self.nvars
-        if n > LANE_COORDS:
+        if n > HEAD:
             raise ValueError("refusing to enumerate 3^%d points" % n)
         lanes = 3 ** n
         ones, planes = (1 << lanes) - 1, _point_planes(n)
@@ -312,7 +310,7 @@ def _stack(cols, law, width):
 
     A trial reads w = law.trits trits, so column j of group g is
     cols[g*w + j].  Each group's column is cut to `width` lanes and put at
-    bit g*width; the stacked columns are then split per the law's layout.
+    bit g*width; the stacked columns are then placed per the law's `draws`.
     """
     w, keep = law.trits, (1 << width) - 1
     stacked = []
@@ -322,12 +320,7 @@ def _stack(cols, law, width):
             nz = (nz << width) | (a & keep)
             sg = (sg << width) | (b & keep)
         stacked.append((nz, sg))
-    out, at = [], 0
-    for kind in law.layout:
-        part = tuple(stacked[at:at + DRAW_TRITS[kind]])
-        out.append(part if kind == "e" else (_ZERO,) * 10 + part)
-        at += DRAW_TRITS[kind]
-    return out
+    return law.place(_Planes.identity, stacked)
 
 
 def _first_failure(bad, groups, width, start):
@@ -371,10 +364,10 @@ class LoopKernel(_native.LoopKernel):
                 width = counts[0]
                 if width <= 0:
                     continue
-                # laws of one layout have the same r, so the same width
-                if law.layout not in stacked:
-                    stacked[law.layout] = _stack(cols, law, width)
-                xs = stacked[law.layout]
+                # laws of the same draws have the same r, so the same width
+                if law.draws not in stacked:
+                    stacked[law.draws] = _stack(cols, law, width)
+                xs = stacked[law.draws]
                 mask = 0
                 for g, n in enumerate(counts):
                     if n > 0:

@@ -22,11 +22,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import kernel, tables
-from ._native import _IDENTITY, _check_seed, vec_add
+from ._native import _IDENTITY, N as N_COORDS, _check_seed, vec_add
 from .errors import (DivisionCheckFailed, InverseLawViolation,
                      OrderNotFoundWithinCap, ParseError)
 
-N_COORDS = 19
 Element = tuple  # 19 GF(3) residues
 
 
@@ -53,7 +52,7 @@ def vec_scale(x: Element, c: int) -> Element:
 def check_element(x) -> Element:
     """The caller's element as a tuple; ValueError unless it is 19 residues."""
     if len(x) != N_COORDS:
-        raise ValueError("element must have 19 coordinates")
+        raise ValueError(f"element must have {N_COORDS} coordinates")
     for v in x:
         # exactly int: True and 1.0 compare equal to 1 but are no residues
         if type(v) is not int or v not in (0, 1, 2):

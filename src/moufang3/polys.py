@@ -62,10 +62,10 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from ._native import N as MAX_INDEX
 from .errors import UnboundVariable
 
 BLOCKS = ("x", "y", "z", "t")
-MAX_INDEX = 19
 
 
 class Var(NamedTuple):

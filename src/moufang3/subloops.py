@@ -23,6 +23,7 @@ from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernel
+from ._native import HEAD, N
 from .errors import TailCentralityBroken, WitnessFailed
 from .loop import Element, Loop, basis, default_loop, format_element, identity
 from .polys import Var, flatten_polys
@@ -31,9 +32,8 @@ from .symbolic import SymbolicLoop
 if TYPE_CHECKING:
     from fractions import Fraction
 
-HEAD = 10
 HEAD_TOTAL = 3 ** HEAD    # 59049
-TAIL_FREEDOM = 3 ** 9
+TAIL_FREEDOM = 3 ** (N - HEAD)
 RECHECK_LIMIT = 5_000     # closures up to this size are re-checked by is_closed
 
 # the four triples of the generating set {a, b, c, d} = {e1, e2, e3, e4}
@@ -168,7 +168,7 @@ def count_l_set(loop: Loop, a: Element, b: Element,
 def brute_count_l_set(loop: Loop, a: Element, b: Element) -> LSetCount:
     """Independent oracle: enumerate the 3^10 heads through the concrete
     associator only -- no polynomial machinery anywhere on this path."""
-    tail = (0,) * 9
+    tail = identity()[HEAD:]
     count = 0
     for head in product((0, 1, 2), repeat=HEAD):
         if loop.associator(head + tail, a, b) == identity():

@@ -20,8 +20,8 @@ surviving monomial, and both sides recomputed on it by the concrete kernel
 `prove_law` reads the swept laws, Moufang and the inverse law among them,
 from `_native.LAWS` with the `SymbolicLoop` itself as the ops, as the scalar
 kernel is for a sweep: `mul` and `inv` are its formula applications, `add`
-is coordinatewise, `identity` 19 zero polynomials.  Layout position i draws
-block "xyz"[i], a "t" a generic tail (variables at 11..19 only).  A
+is coordinatewise, `identity` N zero polynomials.  Draw i is generic in
+block "xyz"[i] (a tail: variables at 11..19 only), placed by `Law.place`.  A
 refutation's witness evaluates the same law with the concrete kernel as ops.
 
 The proofs double as transcription insurance: it is the x^3 = x reduction,
@@ -36,15 +36,13 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import loop as loop_mod
 from . import kernel
-from ._native import LAWS
+from ._native import HEAD, LAWS, N
 from .errors import CanonicalFormBroken, DivisionCheckFailed
 from .loop import Element, Loop, basis, default_loop
 from .polys import Env, Poly, Var, flatten_polys, var
 
-N = 19
-_HEAD = 10  # the tables read coordinates 1..10 only
-_X_HEAD = tuple(Var("x", i) for i in range(1, _HEAD + 1))
-_XY_HEAD = _X_HEAD + tuple(Var("y", i) for i in range(1, _HEAD + 1))
+_X_HEAD = tuple(Var("x", i) for i in range(1, HEAD + 1))
+_XY_HEAD = _X_HEAD + tuple(Var("y", i) for i in range(1, HEAD + 1))
 EXTRA_PAIRS = 2  # seeded random pairs `consistency_sweep` adds to (e3, e4)
 
 
@@ -203,7 +201,7 @@ class SymbolicLoop:
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         """Coordinate k of a o b: a_k + b_k + f_k(a, b)."""
-        env = Env(zip(_XY_HEAD, a[:_HEAD] + b[:_HEAD]))
+        env = Env(zip(_XY_HEAD, a[:HEAD] + b[:HEAD]))
         out = list(map(Poly.__add__, a, b))
         for k, p in self._f:
             out[k] += p.substitute(env)
@@ -227,10 +225,10 @@ class SymbolicLoop:
         """The swept law `_native.LAWS[name]` on generic elements."""
         t0 = time.perf_counter()
         law = LAWS[name]
-        blocks = "xyz"[:len(law.layout)]
-        drawn = [generic(b) if kind == "e"
-                 else self.identity[:_HEAD] + generic(b)[_HEAD:]
-                 for kind, b in zip(law.layout, blocks)]
+        blocks = "xyz"[:len(law.draws)]
+        flat = [v for width, b in zip(law.draws, blocks)
+                for v in generic(b)[N - width:]]
+        drawn = law.place(self.identity, flat)
         lhs, rhs = law.lhs(self, *drawn), law.rhs(self, *drawn)
 
         def concrete(elems):
@@ -389,9 +387,8 @@ class SymbolicLoop:
             b, state = lp.random_element(state)
             pairs.append((a, b))
 
-        xy_order = [Var("x", i) for i in range(1, N + 1)]
-        xy_order += [Var("y", i) for i in range(1, N + 1)]
-        x_order = xy_order[:N]
+        x_order = [Var("x", i) for i in range(1, N + 1)]
+        xy_order = x_order + [Var("y", i) for i in range(1, N + 1)]
         prod = self.mul(generic("x"), generic("y"))
         inv = self.inv(generic("x"))
         ev_prod = kernel.PolyEvaluator(flatten_polys(prod, xy_order), 2 * N)

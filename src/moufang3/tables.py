@@ -20,11 +20,10 @@ from operator import or_
 from pathlib import Path
 from typing import NamedTuple
 
+from ._native import HEAD as MAX_VAR_INDEX, N as N_COORDS
 from .errors import ValidationFailure
 from .polys import BLOCKS, LOW, Poly, Var, field_bit, flatten_polys
 
-N_COORDS = 19
-MAX_VAR_INDEX = 10
 MAX_DEGREE = 4
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -106,7 +105,7 @@ def parse_table(text: str, name: str, blocks: tuple[str, ...]) -> FormulaTable:
                                         "non-integer coord or coeff") from None
         if not 1 <= coord <= N_COORDS:
             raise ValidationFailure(
-                f"{name} table line {lineno}: coordinate {coord} outside 1..19")
+                f"{name} table line {lineno}: coordinate {coord} outside 1..{N_COORDS}")
         if coeff not in (1, 2):
             raise ValidationFailure(
                 f"{name} table line {lineno}: coefficient {coeff} not a unit of GF(3)")
@@ -134,28 +133,33 @@ def parse_table(text: str, name: str, blocks: tuple[str, ...]) -> FormulaTable:
     return table
 
 
+# table name -> (file name, blocks read), for the shipped and --tables files
+_FILES = {"f": ("f_table.txt", ("x", "y")), "h": ("h_table.txt", ("x",))}
+
+
+def _read(directory, name: str) -> FormulaTable:
+    filename, blocks = _FILES[name]
+    return parse_table((Path(directory) / filename).read_text(), name, blocks)
+
+
 @lru_cache(maxsize=None)
-def _load(filename: str, name: str, blocks: tuple[str, ...]) -> FormulaTable:
-    text = (_DATA_DIR / filename).read_text()
-    return parse_table(text, name, blocks)
+def _load(name: str) -> FormulaTable:
+    return _read(_DATA_DIR, name)
 
 
 def f_table() -> FormulaTable:
     """The multiplication correction table: x o y = x + y + f(x, y)."""
-    return _load("f_table.txt", "f", ("x", "y"))
+    return _load("f")
 
 
 def h_table() -> FormulaTable:
     """The inverse correction table: inverse(x) = -x + h(x)."""
-    return _load("h_table.txt", "h", ("x",))
+    return _load("h")
 
 
 def load_tables_from(directory) -> tuple[FormulaTable, FormulaTable]:
     """Load alternate f/h fixtures (same filenames) from a directory."""
-    directory = Path(directory)
-    f = parse_table((directory / "f_table.txt").read_text(), "f", ("x", "y"))
-    h = parse_table((directory / "h_table.txt").read_text(), "h", ("x",))
-    return f, h
+    return _read(directory, "f"), _read(directory, "h")
 
 
 def _check_read(name: str, k: int, blocks: tuple[str, ...], v: Var) -> None:
@@ -212,7 +216,7 @@ def compile_concrete(table: FormulaTable) -> list:
     """Flatten a table for the evaluation kernels (see polys.flatten_polys).
 
     The variable order is each block of table.blocks in turn, indices
-    1..10, so variable (block, index) gets code src * 10 + (index - 1),
+    1..HEAD, so variable (block, index) gets code src * HEAD + (index - 1),
     src being the block's position in table.blocks.
     """
     return flatten_polys(table.coords, [Var(b, i) for b in table.blocks

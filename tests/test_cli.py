@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, report schema, determinism."""
 
 import json
+import re
 import shutil
 
 import pytest
@@ -358,6 +359,32 @@ def test_non_integer_env_value_exits_2(capsys, monkeypatch, name):
         main(["verify", "--trials", "0", "--no-symbolic"])
     assert exc_info.value.code == 2
     assert f"{name}='abc' is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("--version",), ("--help",), ("eval", "e1"),
+                                  ("prove", "identity"), ("closure", "e19"),
+                                  ("order", "e1")],
+                         ids=lambda argv: argv[0].lstrip("-"))
+def test_commands_without_seed_or_trials_ignore_the_variables(capsys,
+                                                               monkeypatch,
+                                                               argv):
+    # only verify and density read MOUFANG3_SEED and MOUFANG3_TRIALS, so a
+    # malformed value cannot break any other command
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:     # --version and --help
+            code = exc.code
+        # a proof prints its time
+        return code, re.sub(r"\(\d+ ms\)", "(ms)", capsys.readouterr().out)
+
+    monkeypatch.delenv("MOUFANG3_SEED", raising=False)
+    monkeypatch.delenv("MOUFANG3_TRIALS", raising=False)
+    unset = outcome()
+    monkeypatch.setenv("MOUFANG3_SEED", "abc")
+    monkeypatch.setenv("MOUFANG3_TRIALS", "1_0")
+    assert outcome() == unset
+    assert unset[0] == 0
 
 
 @pytest.mark.parametrize("argv", [

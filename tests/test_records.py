@@ -10,6 +10,7 @@ outputs are pinned to the values the reports have always had.
 import copy
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +156,26 @@ def test_refutation_repr_is_the_same_in_every_process():
         outs.append(done.stdout.splitlines())
     assert outs[0] == outs[1]
     assert outs[0][1] == "True"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--format", "json", "--trials", "200"),
+    ("density", "e3", "e4", "--mode", "sample", "--trials", "50",
+     "--format", "json")], ids=["verify", "density-sample"])
+def test_reports_are_the_same_in_every_process(argv):
+    # README: byte-identical across runs for a fixed command and seed,
+    # except for the millis fields
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        env.pop("MOUFANG3_SEED", None)
+        env.pop("MOUFANG3_TRIALS", None)
+        done = subprocess.run([sys.executable, "-m", "moufang3", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        outs.append(re.sub(r'"millis": \d+', '"millis": 0', done.stdout))
+    assert outs[0] == outs[1]
 
 @pytest.mark.parametrize("copier", [lambda x: pickle.loads(pickle.dumps(x)),
                                     copy.deepcopy], ids=["pickle", "deepcopy"])

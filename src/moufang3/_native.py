@@ -12,10 +12,11 @@ once where they enter the package (`loop.Loop`'s public methods and
 over an ops object that provides `mul`, `inv`, `add` and `identity`: a
 `LoopKernel` is itself such an object, `kernel` passes bit planes and
 `symbolic.SymbolicLoop.prove_law` polynomial coordinates; `Law.place`
-puts a trial's draw into the ops' `identity` for all three.  `flat_terms`
-builds the one flat format of a polynomial system that both interpreters of
-the tables read, this scalar kernel and `kernel`'s bit planes, where
-`PolyEvaluator` evaluates and counts such systems.
+puts a trial's draw into the ops' `identity` for all three.  `IDENTITY_LAW`,
+beside `LAWS`, is a `Law` proved but not swept.  `flat_terms` builds the
+one flat format of a polynomial system that both interpreters of the tables
+read, this scalar kernel and `kernel`'s bit planes, where `PolyEvaluator`
+evaluates and counts such systems.
 """
 
 from __future__ import annotations
@@ -86,6 +87,17 @@ LAWS = {
 
 SWEEP_NAMES = tuple(LAWS)
 
+IDENTITY_LAW = Law("1*x = x*1 = x", (N,),
+                   lambda k, x: k.mul(k.identity, x) + k.mul(x, k.identity),
+                   lambda k, x: x + x)
+
+
+def sweep_law(name):
+    """`LAWS[name]`; ValueError naming the choices for an unknown name."""
+    if name not in LAWS:
+        raise ValueError(f"unknown sweep {name!r}; choose from {SWEEP_NAMES}")
+    return LAWS[name]
+
 
 def _check_seed(seed):
     if not isinstance(seed, int) or not 0 <= seed <= MASK64:
@@ -100,9 +112,7 @@ def _check_sweep(names, seed, trials):
     if not names:
         raise ValueError("no sweep names given")
     for name in names:
-        if name not in LAWS:
-            raise ValueError(
-                f"unknown sweep {name!r}; choose from {SWEEP_NAMES}")
+        sweep_law(name)
     if len(set(names)) < len(names):
         raise ValueError(f"duplicate sweep names in {names}")
     _check_seed(seed)

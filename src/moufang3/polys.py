@@ -180,12 +180,6 @@ def _mul_terms(a: dict, b: dict) -> dict:
     """The product of two canonical term dicts, as a new canonical dict."""
     if len(a) > len(b):
         a, b = b, a
-    if not a:
-        return {}
-    if not reduce(or_, a) & reduce(or_, b):
-        # distinct pairs of variable-disjoint keys give distinct products
-        return {m1 | m2: c1 * c2 % 3
-                for m1, c1 in a.items() for m2, c2 in b.items()}
     acc: dict = {}
     get = acc.get
     for m1, c1 in a.items():

@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import kernel
 from ._native import HEAD, N
 from .errors import TailCentralityBroken, WitnessFailed
-from .loop import Element, Loop, basis, default_loop, format_element, identity
+from .loop import (Element, Loop, basis, check_element, default_loop,
+                   format_element, identity)
 from .polys import Var, flatten_polys
 from .symbolic import SymbolicLoop
 
@@ -70,7 +71,7 @@ def closure(loop: Loop, generators, cap: int = 10_000_000) -> ClosureResult:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    gens = tuple(tuple(g) for g in generators)
+    gens = tuple(map(check_element, generators))
     # insertion-ordered, so the iteration order is reproducible
     members = dict.fromkeys([identity()])
     work = []
@@ -150,8 +151,11 @@ def count_l_set(loop: Loop, a: Element, b: Element,
     Builds the 19 associator coordinate polynomials once, checks they only
     read x_1..x_10, and counts their common zeros over all 3^10 heads,
     each polynomial evaluated once on bit planes of one lane per head.
+    A given `symbolic` must be built on `loop`.
     """
     sym = symbolic if symbolic is not None else SymbolicLoop(loop)
+    if sym.loop is not loop:
+        raise ValueError("the symbolic loop is not built on this loop")
     variety = sym.associator_variety(a, b)
     head_vars = [Var("x", i) for i in range(1, HEAD + 1)]
     allowed = set(head_vars)

@@ -18,11 +18,12 @@ surviving monomial, and both sides recomputed on it by the concrete kernel
 (`tests/test_law_proofs.py`, not the report, checks that they differ).
 
 `prove_law` reads the swept laws, Moufang and the inverse law among them,
-from `_native.LAWS` with the `SymbolicLoop` itself as the ops, as the scalar
-kernel is for a sweep: `mul` and `inv` are its formula applications, `add`
-is coordinatewise, `identity` N zero polynomials.  Draw i is generic in
-block "xyz"[i] (a tail: variables at 11..19 only), placed by `Law.place`.  A
-refutation's witness evaluates the same law with the concrete kernel as ops.
+from `_native.LAWS`, and `prove_identity_law` the law proved but not swept,
+`_native.IDENTITY_LAW`, with the `SymbolicLoop` itself as the ops, as the
+scalar kernel is for a sweep: `mul` and `inv` are its formula applications,
+`add` is coordinatewise, `identity` N zero polynomials.  Draw i is generic
+in block "xyz"[i] (a tail: variables at 11..19 only), placed by `Law.place`.
+A refutation's witness evaluates the same law on the concrete kernel.
 
 The proofs double as transcription insurance: it is the x^3 = x reduction,
 not goodwill, that makes a single corrupted monomial surface as a nonzero
@@ -36,7 +37,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import loop as loop_mod
 from . import kernel
-from ._native import HEAD, LAWS, N
+from ._native import HEAD, IDENTITY_LAW, N, sweep_law
 from .errors import CanonicalFormBroken, DivisionCheckFailed
 from .loop import Element, Loop, basis, default_loop
 from .polys import Env, Poly, Var, flatten_polys, var
@@ -223,8 +224,25 @@ class SymbolicLoop:
 
     def prove_law(self, name: str) -> ProofReport:
         """The swept law `_native.LAWS[name]` on generic elements."""
+        return self._prove(name, sweep_law(name), _telemetry)
+
+    def prove_moufang(self) -> ProofReport:
+        """(x o y) o (z o x) = (x o (y o z)) o x over all 3^57 triples."""
+        return self.prove_law("moufang")
+
+    def prove_inverse_law(self) -> ProofReport:
+        """x o x^-1 = x^-1 o x = identity in the 19 x-variables."""
+        return self.prove_law("inverse")._replace(claim="inverse-law")
+
+    def prove_identity_law(self) -> ProofReport:
+        """0 o x = x o 0 = x as polynomial identities (`_native.IDENTITY_LAW`);
+        the telemetry counts the left side only."""
+        return self._prove("identity-law", IDENTITY_LAW,
+                           lambda lhs, rhs: _telemetry(lhs))
+
+    def _prove(self, claim, law, telemetry) -> ProofReport:
+        """`law` on generic elements; `telemetry(lhs, rhs)` counts terms."""
         t0 = time.perf_counter()
-        law = LAWS[name]
         blocks = "xyz"[:len(law.draws)]
         flat = [v for width, b in zip(law.draws, blocks)
                 for v in generic(b)[N - width:]]
@@ -238,31 +256,8 @@ class SymbolicLoop:
                     for side in (law.lhs(k, *args), law.rhs(k, *args))]
 
         diffs = [p - q if q else p for p, q in zip(lhs, rhs)]  # skip zero q
-        return self._report(name, diffs, blocks, concrete,
-                            _telemetry(lhs, rhs), t0)
-
-    def prove_moufang(self) -> ProofReport:
-        """(x o y) o (z o x) = (x o (y o z)) o x over all 3^57 triples."""
-        return self.prove_law("moufang")
-
-    def prove_inverse_law(self) -> ProofReport:
-        """x o x^-1 = x^-1 o x = identity in the 19 x-variables."""
-        return self.prove_law("inverse")._replace(claim="inverse-law")
-
-    def prove_identity_law(self) -> ProofReport:
-        """0 o x = x o 0 = x as polynomial identities."""
-        t0 = time.perf_counter()
-        x = generic("x")
-        left, right = self.mul(self.identity, x), self.mul(x, self.identity)
-        diffs = [p - q for p, q in zip(left + right, x + x)]
-
-        def concrete(elems):
-            ex = elems["x"]
-            m = self.loop.mul
-            return ((m(loop_mod.identity(), ex), m(ex, loop_mod.identity())), (ex, ex))
-
-        return self._report("identity-law", diffs, ("x",), concrete,
-                            _telemetry(left, right), t0)
+        return self._report(claim, diffs, blocks, concrete,
+                            telemetry(lhs, rhs), t0)
 
     def prove_normal_form(self) -> ProofReport:
         """The left-nested product e_1^t1 o e_2^t2 o ... o e_19^t19 equals

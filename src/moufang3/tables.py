@@ -41,6 +41,13 @@ def ascii_int(text: str) -> int:
     return int(text)
 
 
+def _position(k: int) -> int:
+    """The list position of 1-based coordinate k; IndexError outside 1..19."""
+    if not 1 <= k <= N_COORDS:
+        raise IndexError(f"coordinate {k} outside 1..{N_COORDS}")
+    return k - 1
+
+
 class FormulaTable(NamedTuple):
     """An immutable 19-coordinate table of sparse polynomials."""
 
@@ -50,14 +57,12 @@ class FormulaTable(NamedTuple):
 
     def coord(self, k: int) -> Poly:
         """Coordinate polynomial, 1-based like the subscripts in the data."""
-        if not 1 <= k <= N_COORDS:
-            raise IndexError(f"coordinate {k} outside 1..{N_COORDS}")
-        return self.coords[k - 1]
+        return self.coords[_position(k)]
 
     def with_coord(self, k: int, poly: Poly) -> "FormulaTable":
         """Copy of the table with one coordinate replaced (mutation testing)."""
         coords = list(self.coords)
-        coords[k - 1] = poly
+        coords[_position(k)] = poly
         return FormulaTable(self.name, self.blocks, tuple(coords))
 
 

@@ -123,6 +123,10 @@ def boundary_calls(lp, sym, x):
             lambda: subloops.density_sample(lp, x, g, trials=1),
         "density_sample(g, x)":
             lambda: subloops.density_sample(lp, g, x, trials=1),
+        # cap=1 truncates before the worklist reaches x, so only a check
+        # of the generators at entry sees it, in either order
+        "closure([x, g])": lambda: subloops.closure(lp, [x, g], cap=1),
+        "closure([g, x])": lambda: subloops.closure(lp, [g, x], cap=1),
         "associator_variety(x, g)": lambda: sym.associator_variety(x, g),
         "associator_variety(g, x)": lambda: sym.associator_variety(g, x),
         "embed": lambda: symbolic.embed(x),

@@ -54,6 +54,18 @@ def test_shared_pass_matches_reference_at_full_chunk():
         m * kernel.CHUNK + d for m in (2, 3, 6) for d in (-1, 1)), NAMES[:5])
 
 
+def test_shared_pass_crosses_the_real_chunk(monkeypatch):
+    # at 28 Moufang trials per lane this budget needs CHUNK + 64 lanes, so
+    # two chunks of the real CHUNK; the same pass in one chunk is the
+    # reference, which keeps the check batched and cheap
+    mutation = next(m for m in MUTATIONS if m[0] == "f5 swapped variable")
+    fast = kernel.LoopKernel(*flat_tables(mutation))
+    trials = GROUPS["moufang"] * (kernel.CHUNK + 64)
+    two_chunks = fast.sweep_many(NAMES, 42, trials)
+    monkeypatch.setattr(kernel, "CHUNK", 2 * kernel.CHUNK)
+    assert fast.sweep_many(NAMES, 42, trials) == two_chunks
+
+
 def test_first_failure_in_a_later_block_chunk(monkeypatch):
     # flexibility runs 42 trials per lane; at this seed it first fails at
     # trial 173, in lane 4, so in the second chunk of 4 lanes

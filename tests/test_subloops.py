@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from moufang3 import (Witness, basis, brute_count_l_set, closure, count_l_set,
-                      density_sample, h_table, identity, in_l_set, is_closed,
-                      nonsubloop_witness)
+from moufang3 import (SymbolicLoop, Witness, basis, brute_count_l_set,
+                      closure, count_l_set, density_sample, h_table, identity,
+                      in_l_set, is_closed, nonsubloop_witness)
 from moufang3.loop import Loop, vec_add
 from moufang3.polys import var
 from moufang3.subloops import HEAD_TOTAL, TAIL_FREEDOM
@@ -135,6 +135,11 @@ def test_count_c_d_matches_frozen_fixture(loop):
     assert count.density == Fraction(1, 3)
     assert count.density < 1                       # e5 is excluded
     assert count.full_count == LCD_HEAD_COUNT * TAIL_FREEDOM
+
+
+def test_count_refuses_a_symbolic_loop_of_another_loop(loop):
+    with pytest.raises(ValueError):
+        count_l_set(loop, e(3), e(4), SymbolicLoop(Loop()))
 
 
 def test_brute_count_small_cross_check(loop):

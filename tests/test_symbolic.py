@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moufang3 import (DivisionCheckFailed, Poly, SymbolicLoop, Var, basis,
-                      embed, f_table, generic, h_table, identity)
+from moufang3 import (SWEEP_NAMES, DivisionCheckFailed, Poly, SymbolicLoop,
+                      Var, basis, embed, f_table, generic, h_table, identity)
 from moufang3.loop import Loop
 from moufang3.polys import var
 from moufang3.symbolic import EXTRA_PAIRS, assignment_for, nonzero_point
@@ -120,6 +120,13 @@ def test_identity_law_is_proved(sym):
     assert sym.prove_identity_law().proved
 
 
+def test_prove_law_refuses_an_unknown_name(sym):
+    with pytest.raises(ValueError) as info:
+        sym.prove_law("nope")
+    assert str(info.value) == (
+        f"unknown sweep 'nope'; choose from {SWEEP_NAMES}")
+
+
 def test_normal_form_is_proved(sym):
     report = sym.prove_normal_form()
     assert report.proved
@@ -166,6 +173,20 @@ def test_corrupted_h5_refutes_inverse_law():
     assert not report.proved
     assert report.witness is not None
     assert report.witness.lhs != report.witness.rhs
+
+
+@pytest.mark.parametrize("block", ["x", "y"])
+def test_identity_law_refuted_with_concrete_witness(block):
+    # f5 + x1 breaks x o 0 = x alone, f5 + y1 breaks 0 o x = x alone
+    bad = Loop(f=f_table().with_coord(5, f_table().coord(5) + var(block, 1)))
+    report = SymbolicLoop(bad).prove_identity_law()
+    assert not report.proved
+    assert report.nonzero_coords == (5,)
+    w = report.witness
+    x = w.elements["x"]
+    assert w.lhs == (bad.mul(identity(), x), bad.mul(x, identity()))
+    assert w.rhs == (x, x)
+    assert w.lhs != w.rhs
 
 
 def test_low_coordinates_stay_additive(sym):

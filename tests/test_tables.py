@@ -138,6 +138,15 @@ def test_f19_vanishes_on_swapped_first_basis_pair():
     assert f_table().coord(5).evaluate(assignment) == 2
 
 
+@pytest.mark.parametrize("k", [0, -1, 20])
+def test_coordinate_index_checked(k):
+    message = f"coordinate {k} outside 1..19"
+    with pytest.raises(IndexError, match=message):
+        f_table().coord(k)
+    with pytest.raises(IndexError, match=message):
+        f_table().with_coord(k, var("x", 1))
+
+
 # -- validation failures -----------------------------------------------------------
 
 def test_rejects_nonzero_low_coordinate():

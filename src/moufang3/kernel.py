@@ -24,14 +24,22 @@ results only; `sweeps.SharedSweeps` times the pass.  Each group is masked
 to the lanes whose trial is below the budget; the first failing trial is
 the least over all groups, and the witness is read from that group's lane.
 
-Stream: lane L starts at the seed advanced by L*BLOCK steps.  Lane start
-states come from that jump-ahead, a GF(2)-linear map of the 64-bit state
-(Haramoto et al. 2008) applied as eight 256-entry byte tables; then every
-lane steps together inside one int that gives each lane a 128-bit slot, so
-the 126-bit product by the multiplier cannot spill into the next lane.
-The tables are built the same way, by stepping the 64 unit vectors
-together in one packed int, or for an even stride from the tables of half
-of it.
+Stream: lane L starts at the seed advanced by L*BLOCK steps.  A chunk of
+few lanes would step narrow ints BLOCK times, so `draw_columns` splits
+each lane into k sub-lanes of S = BLOCK / k steps, k the largest divisor
+of BLOCK with k * lanes <= CHUNK (a `verify --trials 2000` pass: 72 lanes,
+k = 28, S = 57; a full chunk: k = 1), and every sub-lane steps together.
+Sub-lane (L, q) starts (L*k + q)*S steps in; the packing is segment-major,
+sub-lane (L, q) at slot q*lanes + L, so draw q*S + i of every lane is one
+slice of sub-column i.  Start states come from the jump-ahead by S, a
+GF(2)-linear map of the 64-bit state (Haramoto et al. 2008) applied as
+eight 256-entry byte tables; the tables are built the same way as the
+draw, by stepping the 64 unit vectors together in one packed int, or for
+an even stride from the tables of half of it.  Each sub-lane steps in a
+64-bit slot of one int; for the 126-bit product by the multiplier, slot
+2i multiplies in the low and slot 2i+1 in the high half of 16-byte pair i,
+then nibble sums reduce each output mod 3 into one byte.  Eight steps'
+bytes collect in one int, converted by one `to_bytes` call.
 
 Arithmetic: a column of trits, one per lane, is two bit-plane ints
 (Boothby & Bradshaw 2009): `nz` has bit i set when lane i's trit is nonzero
@@ -62,9 +70,8 @@ BACKEND = "pure"
 # Lanes drawn and evaluated together; the memory of a pass is bounded by it.
 CHUNK = 2048
 
-_SLOT = 16                             # bytes per lane in the packed state
-_PAD = bytes(_SLOT - 8)
-_BYTE_SUM = 0x0101010101010101         # v * this: byte 7 sums v's 8 bytes
+# v * this: byte 7 sums v's bytes 0..7, and byte 15 its bytes 8..15
+_BYTE_SUM = 0x0101010101010101
 # byte -> b"1" when its residue mod 3 is nonzero / is 2
 _NZ_DIGIT = bytes(b"01"[v % 3 != 0] for v in range(256))
 _SG_DIGIT = bytes(b"01"[v % 3 == 2] for v in range(256))
@@ -208,25 +215,31 @@ class PolyEvaluator:
 
 # -- the lane-split xorshift-star stream -------------------------------------
 
+def _words(word, lanes):
+    """The 64-bit `word` in each of `lanes` 64-bit slots of one int."""
+    return int.from_bytes(word.to_bytes(8, "little") * lanes, "little")
+
+
 def _packed(states):
-    """Lane i's 64-bit state in the low half of 128-bit slot i of one int."""
-    return int.from_bytes(b"".join(s.to_bytes(8, "little") + _PAD
-                                   for s in states), "little")
+    """Lane i's 64-bit state in slot i of one int."""
+    return int.from_bytes(b"".join(s.to_bytes(8, "little") for s in states),
+                          "little")
 
 
-def _slot_mask(lanes, byte):
-    """`byte` in the eight low bytes of every slot."""
-    return int.from_bytes((bytes((byte,)) * 8 + _PAD) * lanes, "little")
+def _step_masks(lanes):
+    """The bits of each of `_advance`'s three shifts that stay in their
+    slot: 52, 39 and 37 of every 64."""
+    return (_words((1 << 52) - 1, lanes),
+            _words((1 << 64) - (1 << 25), lanes),
+            _words((1 << 37) - 1, lanes))
 
 
-def _advance(s, low):
-    """One xorshift step of every packed lane; `low` is _slot_mask(.., 0xff)."""
-    s ^= s >> 12
-    s &= low
-    s ^= s << 25
-    s &= low
-    s ^= s >> 27
-    return s & low
+def _advance(s, masks):
+    """One xorshift step of every packed lane; `masks` is _step_masks(..)."""
+    m12, m25, m27 = masks
+    s ^= (s >> 12) & m12
+    s ^= (s << 25) & m25
+    return s ^ (s >> 27) & m27
 
 
 def _jump(tables, state):
@@ -244,20 +257,21 @@ def _jump_tables(stride):
     The step is linear over GF(2), so the image of a state is the XOR of
     the images of its set bits; table b maps byte b of the state to the XOR
     of the images of that byte's bits.  An even stride maps each unit
-    vector twice by the tables of half the stride, so BLOCK = 4 * 399 takes
-    399 steps; otherwise the 64 unit vectors step together as the lanes of
-    one packed int.
+    vector twice by the tables of half the stride, down to an odd stride
+    (BLOCK = 4 * 399 takes 399 steps; a sub-lane of `draw_columns` 57, 399
+    or another divisor of BLOCK); for an odd one the 64 unit vectors step
+    together as the lanes of one packed int.
     """
     if stride > 1 and stride % 2 == 0:
         half = _jump_tables(stride // 2)
         cols = [_jump(half, half[bit >> 3][1 << (bit & 7)])
                 for bit in range(64)]
     else:
-        s, low = _packed(1 << bit for bit in range(64)), _slot_mask(64, 0xff)
+        s, masks = _packed(1 << bit for bit in range(64)), _step_masks(64)
         for _ in range(stride):
-            s = _advance(s, low)
-        raw = s.to_bytes(_SLOT * 64, "little")
-        cols = [int.from_bytes(raw[_SLOT * bit:_SLOT * bit + 8], "little")
+            s = _advance(s, masks)
+        raw = s.to_bytes(8 * 64, "little")
+        cols = [int.from_bytes(raw[8 * bit:8 * bit + 8], "little")
                 for bit in range(64)]
     tables = []
     for b in range(8):
@@ -275,27 +289,51 @@ def draw_columns(state, lanes, stride):
     after the last lane's draws.  Lane i's trits equal draws
     i*stride .. (i+1)*stride - 1 of `_native.random_element`'s stream.
     """
-    tables = _jump_tables(stride)
-    packed = bytearray()
-    for _ in range(lanes):
-        packed += state.to_bytes(8, "little")
-        packed += _PAD
+    # k sub-lanes of S = stride / k steps per lane, k the largest divisor
+    # of the stride with k * lanes <= CHUNK; sub-lane (L, q) starts q*S
+    # steps into lane L and sits at slot q*lanes + L
+    k = max(d for d in range(1, stride + 1)
+            if stride % d == 0 and (d == 1 or d * lanes <= CHUNK))
+    steps, width = stride // k, k * lanes
+    tables, starts = _jump_tables(steps), []
+    for _ in range(width):
+        starts.append(state)
         state = _jump(tables, state)
-    s = int.from_bytes(packed, "little")
-    low, nibbles = _slot_mask(lanes, 0xff), _slot_mask(lanes, 0x0f)
-    cols = []
-    for _ in range(stride):
-        s = _advance(s, low)
-        # Each lane's output is the low 64 bits w of s * multiplier; w mod 3
-        # is the sum of its 16 nibbles mod 3, which byte 7 of the slot holds
-        # after the nibbles are spread into bytes and multiplied by
-        # _BYTE_SUM (at most 240, so no byte carries).
-        p = s * RNG_MULTIPLIER
-        p = ((p & nibbles) + ((p >> 4) & nibbles)) * _BYTE_SUM
-        # big-endian, lane `lanes`-1 first: lane i becomes bit i of the plane
-        sums = p.to_bytes(_SLOT * lanes, "big")[_SLOT - 8::_SLOT]
-        cols.append((int(sums.translate(_NZ_DIGIT), 2),
-                     int(sums.translate(_SG_DIGIT), 2)))
+    s = _packed(s for q in range(k) for s in starts[q::k])
+    masks = _step_masks(width)
+    # the output: slots 2i and 2i+1 share 16-byte pair i
+    pairs = (width + 1) // 2
+    even = int.from_bytes((b"\xff" * 8 + bytes(8)) * pairs, "little")
+    odd = even << 64
+    nibbles = int.from_bytes(b"\x0f" * 16 * pairs, "little")
+    sums = int.from_bytes((bytes(7) + b"\xff") * 2 * pairs, "little")
+    subcols = []
+    for batch in range(0, steps, 8):
+        n, acc = min(8, steps - batch), 0
+        for j in range(n):
+            s = _advance(s, masks)
+            # Each lane's output is the low 64 bits w of its state times the
+            # multiplier, which needs 128 bits: even slots multiply in the
+            # low half of their pair, odd slots in the high half.  w mod 3
+            # is the sum of its 16 nibbles mod 3, which byte 7 of its half
+            # holds after the nibbles are spread into bytes and multiplied
+            # by _BYTE_SUM (at most 240, so no byte carries).
+            p = ((s & even) * RNG_MULTIPLIER & even
+                 | (s & odd) * RNG_MULTIPLIER & odd)
+            p = ((p & nibbles) + ((p >> 4) & nibbles)) * _BYTE_SUM & sums
+            # step j's sums go to bytes j and 8 + j of each pair
+            acc |= p >> 8 * (7 - j)
+        # big-endian, pair `pairs`-1 first, its byte 8 + j before byte j:
+        # every eighth byte from 7 - j reads slot i at bit i of the plane
+        raw = acc.to_bytes(16 * pairs, "big")
+        for j in range(n):
+            digits = raw[7 - j::8]
+            subcols.append((int(digits.translate(_NZ_DIGIT), 2),
+                            int(digits.translate(_SG_DIGIT), 2)))
+    # column q*S + i is bits q*lanes .. (q+1)*lanes - 1 of sub-column i
+    keep = (1 << lanes) - 1
+    cols = [(nz >> q * lanes & keep, sg >> q * lanes & keep)
+            for q in range(k) for nz, sg in subcols]
     return cols, state
 
 

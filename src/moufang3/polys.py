@@ -327,8 +327,10 @@ class Poly:
 
     # -- substitution and evaluation --------------------------------------
 
-    def substitute(self, env: Mapping[Var, "Poly"]) -> "Poly":
-        """Simultaneous substitution of polynomials for variables.
+    def substitute(self, env: Mapping[Var, "Poly"],
+                   addend: "Poly | None" = None) -> "Poly":
+        """Simultaneous substitution of polynomials for variables, plus
+        `addend` if one is given, summed into one dict.
 
         ``env`` must cover every variable occurring in self.  Satisfies
         evaluate(substitute(p, env), s) == evaluate(p, v -> evaluate(env[v], s))
@@ -337,7 +339,7 @@ class Poly:
         """
         terms = self._terms
         if not terms:
-            return self
+            return self if addend is None else addend
         reads = reduce(or_, terms) & LOW
         if not isinstance(env, Env):
             wanted = map(_VAR_AT.__getitem__, _fields(reads))
@@ -347,7 +349,7 @@ class Poly:
             # unbound, even where a zero factor would cancel its monomials
             v = _VAR_AT[(reads & ~bound).bit_length() - 1]
             raise UnboundVariable(f"no substitution for {v}")
-        acc: dict = {}
+        acc = {} if addend is None else dict(addend._terms)
         get = acc.get
         for mono, coeff in terms.items():
             if mono & zero:

@@ -205,7 +205,7 @@ class SymbolicLoop:
         env = Env(zip(_XY_HEAD, a[:HEAD] + b[:HEAD]))
         out = list(map(Poly.__add__, a, b))
         for k, p in self._f:
-            out[k] += p.substitute(env)
+            out[k] = p.substitute(env, out[k])
         return tuple(out)
 
     def inv(self, a: tuple) -> tuple:
@@ -213,7 +213,7 @@ class SymbolicLoop:
         env = Env(zip(_X_HEAD, a))
         out = list(map(Poly.__neg__, a))
         for k, p in self._h:
-            out[k] += p.substitute(env)
+            out[k] = p.substitute(env, out[k])
         return tuple(out)
 
     @staticmethod

@@ -1,0 +1,142 @@
+"""Mutants of the program and the tests that must kill them.
+
+    python tests/mutants.py [ID_OR_PREFIX ...]
+
+Each entry corrupts one file with an exact `old` -> `new` edit.  The runner
+copies `src/`, `tests/` and `pyproject.toml` into a temporary directory,
+applies one mutant there, runs only that mutant's killing tests with `-x`
+and prints one line per mutant: killed or survived, and the seconds it
+took.  An argument selects the mutants whose id equals it or starts with
+it and a dash ("kernel" runs every kernel mutant); no argument runs all.
+The exit code is 1 when any mutant survives or its tests cannot run.
+
+pytest does not collect this file; `test_mutants.py` checks that every
+`old` text occurs exactly once in its file, so the table cannot rot.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+STREAM = "tests/test_batch_parity.py::test_lane_split_stream_matches_reference"
+CHUNKS = ("tests/test_one_draw.py::"
+          "test_one_and_two_lane_chunks_match_reference")
+LATER_GROUP = "tests/test_one_draw.py::test_first_failure_in_a_later_group"
+
+
+class Mutant(NamedTuple):
+    id: str
+    about: str
+    path: str        # relative to the repository root
+    old: str
+    new: str
+    tests: tuple     # pytest node ids, any one failing kills the mutant
+
+
+KERNEL = "src/moufang3/kernel.py"
+
+MUTANTS = [
+    Mutant("kernel-1", "_stack stacks the groups in reverse", KERNEL,
+           "for a, b in reversed(cols[j::w]):",
+           "for a, b in cols[j::w]:", (CHUNKS,)),
+    Mutant("kernel-2", "_stack does not cut a group's column to the width",
+           KERNEL,
+           "            nz = (nz << width) | (a & keep)\n"
+           "            sg = (sg << width) | (b & keep)\n",
+           "            nz = (nz << width) | a\n"
+           "            sg = (sg << width) | b\n", (CHUNKS,)),
+    Mutant("kernel-3", "the witness is read from the group-0 bit", KERNEL,
+           "here = (groups * (start + lane) + g, g * width + lane)",
+           "here = (groups * (start + lane) + g, lane)", (CHUNKS,)),
+    Mutant("kernel-4", "a group's lane count rounds down", KERNEL,
+           "counts = [min(lanes, -(-(trials - g) // r) - start)",
+           "counts = [min(lanes, (trials - g) // r - start)", (CHUNKS,)),
+    Mutant("kernel-5", "_advance keeps the bits its left shift carries into "
+           "the next lane", KERNEL,
+           "s ^= (s << 25) & m25", "s ^= s << 25", (STREAM,)),
+    Mutant("kernel-6", "the budget mask misses the group shift", KERNEL,
+           "mask |= ((1 << n) - 1) << (g * width)",
+           "mask |= (1 << n) - 1", (CHUNKS,)),
+    Mutant("kernel-7", "the first failing group is kept, not the least "
+           "failing trial", KERNEL,
+           "first = here if first is None else min(first, here)",
+           "first = here if first is None else first", (LATER_GROUP,)),
+    Mutant("kernel-8", "plane_add's sign plane uses | for &", KERNEL,
+           "return (a0 ^ b0) | (a0 ^ a1 ^ b1), (a0 ^ b1) & (a1 ^ b0)",
+           "return (a0 ^ b0) | (a0 ^ a1 ^ b1), (a0 ^ b1) | (a1 ^ b0)",
+           ("tests/test_batch_parity.py::test_plane_arithmetic_matches_gf3",
+            CHUNKS)),
+    Mutant("kernel-9", "sub-lanes are packed lane-major", KERNEL,
+           "s = _packed(s for q in range(k) for s in starts[q::k])",
+           "s = _packed(starts)", (STREAM,)),
+    Mutant("kernel-10", "the batched output shifts each step a byte too far",
+           KERNEL,
+           "acc |= p >> 8 * (7 - j)", "acc |= p >> 8 * (8 - j)", (STREAM,)),
+    Mutant("kernel-11", "a short last output batch is dropped", KERNEL,
+           "for batch in range(0, steps, 8):",
+           "for batch in range(0, steps - 7, 8):", (STREAM,)),
+]
+
+
+def selected(args):
+    """The mutants each argument names, by id or by id prefix."""
+    def named(m, a):
+        return m.id == a or m.id.startswith(a + "-")
+
+    unknown = [a for a in args if not any(named(m, a) for m in MUTANTS)]
+    if unknown:
+        sys.exit(f"mutants: no mutant matches {', '.join(unknown)}")
+    return [m for m in MUTANTS if not args or any(named(m, a) for a in args)]
+
+
+def run(mutant):
+    """(verdict, seconds, pytest output) of one mutant in a fresh copy."""
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis",
+                                    ".pytest_cache")
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tmp = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tmp / name, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        target = tmp / mutant.path
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return "stale", 0.0, "the old text does not occur exactly once"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", *mutant.tests],
+            cwd=tmp, env=dict(os.environ, PYTHONPATH=str(tmp / "src"),
+                              PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True, text=True)
+        seconds = time.perf_counter() - t0
+    # pytest exits 1 when a test failed; 0 means every test passed, and
+    # anything else (collection errors, unknown node ids) proves nothing
+    verdict = {0: "survived", 1: "killed"}.get(proc.returncode, "error")
+    return verdict, seconds, proc.stdout + proc.stderr
+
+
+def main(args):
+    bad = 0
+    for mutant in selected(args):
+        verdict, seconds, output = run(mutant)
+        print(f"{mutant.id:10} {verdict:8} {seconds:6.1f}s  {mutant.about}",
+              flush=True)
+        if verdict != "killed":
+            bad += 1
+            print("\n".join(output.splitlines()[-15:]), file=sys.stderr)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

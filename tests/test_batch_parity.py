@@ -7,6 +7,7 @@ computed once per table, law and seed up to the largest budget and read off
 per budget.  Both are pure Python, so these tests always run.
 """
 
+from functools import lru_cache
 from itertools import islice, product
 
 import pytest
@@ -110,22 +111,64 @@ def test_zero_terms_with_bad_codes_are_refused(build, flat, message):
         build(*flat)
 
 
-def drain(seed, count):
-    """`count` elements of the reference stream and the state after them."""
+# (lanes, elements per lane): a stride of 19 * elements trits.  At BLOCK =
+# 84 * 19 the lanes of a `verify --trials 2000` pass (72) split into 28
+# sub-lanes of 57 steps, which ends in a short output batch; 5 lanes into
+# 399 of 4 steps; CHUNK // 3 + 1 lanes into 2; and from CHUNK // 2 + 1 lanes
+# on a lane is not split
+LANE_SPLITS = [(1, 1), (7, 3), (CHUNK, 1), (72, 84), (5, 84),
+               (CHUNK // 3 + 1, 84), (CHUNK // 2 + 1, 84), (CHUNK, 84)]
+
+
+@lru_cache(maxsize=None)
+def stream(seed):
+    """The reference stream's trits from `seed`, as bytes, up to the largest
+    LANE_SPLITS case, and the state after each case's trits."""
     ref = _native.LoopKernel([[]] * 19, [[]] * 19)
-    state, trits = seed, []
-    for _ in range(count):
+    ends = {lanes * per_lane for lanes, per_lane in LANE_SPLITS}
+    state, trits, after = seed, bytearray(), {}
+    for count in range(1, max(ends) + 1):
         x, state = ref.random_element(state)
-        trits.extend(x)
-    return trits, state
+        trits += bytes(x)
+        if count in ends:
+            after[19 * count] = state
+    return bytes(trits), after
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("lanes,per_lane", [(1, 1), (7, 3), (CHUNK, 1)])
+@pytest.mark.parametrize("lanes,per_lane", LANE_SPLITS)
 def test_lane_split_stream_matches_reference(seed, lanes, per_lane):
-    cols, state = kernel.draw_columns(seed, lanes, 19 * per_lane)
-    got = [t for lane in range(lanes) for t in kernel.lane_trits(cols, lane)]
-    assert (got, state) == drain(seed, lanes * per_lane)
+    # column c holds trit c of every lane, lane i at bit i
+    stride = 19 * per_lane
+    trits, after = stream(seed)
+    want = []
+    for c in range(stride):
+        column = trits[c:lanes * stride:stride][::-1]
+        want.append((int(column.translate(b"011" + bytes(253)), 2),
+                     int(column.translate(b"001" + bytes(253)), 2)))
+    assert kernel.draw_columns(seed, lanes, stride) == \
+        (want, after[lanes * stride])
+
+
+@pytest.mark.parametrize("stride", [kernel.BLOCK, 19, 57])
+def test_packed_width_is_at_most_a_chunk(monkeypatch, stride):
+    # each lane splits into the most sub-lanes, k a divisor of the stride,
+    # that keep all k * lanes of them in one chunk
+    monkeypatch.setattr(kernel, "CHUNK", 64)
+    packed, widths = kernel._packed, []
+
+    def spy(states):
+        states = list(states)
+        widths.append(len(states))
+        return packed(states)
+
+    monkeypatch.setattr(kernel, "_packed", spy)
+    for lanes in range(1, kernel.CHUNK + 1):
+        kernel.draw_columns(1, lanes, stride)
+        k = widths.pop() // lanes
+        assert stride % k == 0 and k * lanes <= kernel.CHUNK
+        assert not any(stride % d == 0
+                       for d in range(k + 1, kernel.CHUNK // lanes + 1))
 
 
 def test_plane_arithmetic_matches_gf3():

@@ -58,8 +58,8 @@ def oracle_mul(p, q):
     return Poly(acc)
 
 
-def oracle_substitute(self, env):
-    acc = Poly.zero()
+def oracle_substitute(self, env, addend=None):
+    acc = Poly.zero() if addend is None else addend
     for mono, coeff in self.terms():
         prod = Poly.constant(coeff)
         for v, exp in mono:
@@ -130,6 +130,7 @@ def test_substitute_matches_oracle(data):
     env = {v: data.draw(polys_over(targets, max_terms=4)) for v in SOURCE}
     dropped = data.draw(st.sampled_from((None,) + SOURCE))
     env.pop(dropped, None)
+    addend = data.draw(polys_over(targets, max_terms=4))
     try:
         want = oracle_substitute(p, env)
     except UnboundVariable:
@@ -137,6 +138,7 @@ def test_substitute_matches_oracle(data):
             p.substitute(env)
     else:
         assert p.substitute(env) == want
+        assert p.substitute(env, addend) == want + addend
 
 
 def test_unbound_variable_raises_behind_a_zero_factor():
@@ -205,10 +207,10 @@ def test_proof_reports_match_the_oracle_substitution(monkeypatch):
     refuted = failed_prechecks = 0
     oracle_calls = 0
 
-    def counted_oracle(self, env):
+    def counted_oracle(self, env, addend=None):
         nonlocal oracle_calls
         oracle_calls += 1
-        return oracle_substitute(self, env)
+        return oracle_substitute(self, env, addend)
 
     for label, lp in table_loops():
         sym = SymbolicLoop(lp)

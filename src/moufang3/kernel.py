@@ -9,37 +9,39 @@ exactly what `_native` returns: the same violation count, first failing
 trial and witness, because every lane consumes the same xorshift-star
 stream and evaluates the same law of `_native.LAWS`, on bit planes.
 
-One block for every law: each lane holds BLOCK consecutive trits of the
-stream, lane L the L-th block.  A trial reads w = `Law.trits` trits, the
-sum of its law's `draws` (N = 19 an element, N - HEAD = 9 a tail): 57 for
-Moufang, 38 for each alternative law and flexibility, 19 for the inverse
-law and 28 for `tail_central`.  BLOCK = lcm(57, 38, 19, 28) = 1596 is the
-least block that every w divides, so every law's trials tile a lane
-exactly: a law has r = BLOCK / w groups per lane (28, 42, 42, 42, 84 and
-57), and group g of lane L is trial r*L + g, reading the block's trits
-g*w .. g*w + w - 1.
+Lanes: lane i of a chunk holds S consecutive trits of the stream, the
+i-th block of S.  A trial reads w = `Law.trits` trits, the sum of its
+law's `draws` (N = 19 an element, N - HEAD = 9 a tail): 57 for Moufang, 38
+for each alternative law and flexibility, 19 for the inverse law and 28
+for `tail_central`.  S is UNIT * m, UNIT = lcm(57, 38, 19) = 114, for the
+least m in 1..13 that draws the pass as one chunk of ceil(w * trials / S)
+lanes, w the widest trial of the pass (`lane_stride`); every other pass
+takes BLOCK = 14 * UNIT = lcm(57, 38, 19, 28) = 1596 trits a lane, over as
+many chunks as it needs.  So a `verify --trials 2000` pass is one chunk of
+1000 lanes of 114 trits, and a million-trial pass 18 chunks of 1596.
+A law whose w divides S has r = S / w groups per lane, and group g of
+lane L is trial r*L + g, reading trits g*w .. g*w + w - 1 of the lane:
+`_stack` cuts them out of the columns.  `tail_central` at S < BLOCK does
+not tile a lane; its trials tile the period lcm(28, S) of k lanes, and
+`_gather` slices them out of the draw's bytes into the same group layout,
+a period in place of a lane.
 One draw per chunk therefore serves every law, and since all sweeps restart
 from one seed, `sweep_many` evaluates all of them on it.  It returns their
 results only; `sweeps.SharedSweeps` times the pass.  Each group is masked
-to the lanes whose trial is below the budget; the first failing trial is
+to the periods whose trial is below the budget; the first failing trial is
 the least over all groups, and the witness is read from that group's lane.
 
-Stream: lane L starts at the seed advanced by L*BLOCK steps.  A chunk of
-few lanes would step narrow ints BLOCK times, so `draw_columns` splits
-each lane into k sub-lanes of S = BLOCK / k steps, k the largest divisor
-of BLOCK with k * lanes <= CHUNK (a `verify --trials 2000` pass: 72 lanes,
-k = 28, S = 57; a full chunk: k = 1), and every sub-lane steps together.
-Sub-lane (L, q) starts (L*k + q)*S steps in; the packing is segment-major,
-sub-lane (L, q) at slot q*lanes + L, so draw q*S + i of every lane is one
-slice of sub-column i.  Start states come from the jump-ahead by S, a
-GF(2)-linear map of the 64-bit state (Haramoto et al. 2008) applied as
-eight 256-entry byte tables; the tables are built the same way as the
-draw, by stepping the 64 unit vectors together in one packed int, or for
-an even stride from the tables of half of it.  Each sub-lane steps in a
-64-bit slot of one int; for the 126-bit product by the multiplier, slot
-2i multiplies in the low and slot 2i+1 in the high half of 16-byte pair i,
+Stream: lane L starts at the seed advanced by L*S steps, from the jump-
+ahead by S, a GF(2)-linear map of the 64-bit state (Haramoto et al. 2008)
+applied as eight 256-entry byte tables; the tables are built the same way
+as the draw, by stepping the 64 unit vectors together in one packed int,
+or for an even stride from the tables of half of it.  The start states are
+packed lane-major, lane i in 64-bit slot i of one int, and all lanes step
+together S times.  For the 126-bit product by the multiplier, slot 2i
+multiplies in the low and slot 2i+1 in the high half of 16-byte pair i,
 then nibble sums reduce each output mod 3 into one byte.  Eight steps'
-bytes collect in one int, converted by one `to_bytes` call.
+bytes collect in one int, converted by one `to_bytes` call; each step's
+bytes, one per lane, become a column of planes.
 
 Arithmetic: a column of trits, one per lane, is two bit-plane ints
 (Boothby & Bradshaw 2009): `nz` has bit i set when lane i's trit is nonzero
@@ -48,7 +50,8 @@ multiplication three, so one product of the loop evaluates the flattened
 f table for every lane at once, read in the one flat format that the
 scalar kernel reads too (`_native.flat_terms`).  The r groups of a law are
 stacked side by side into planes r lane-widths wide, so one evaluation
-covers them all; laws of the same `draws` share the stacked planes.
+covers them all; laws of the same `draws` share the stacked planes and
+their products of two drawn elements.
 
 Counting: `PolyEvaluator.count_all_zero` evaluates a system of flattened
 polynomials in at most HEAD variables, one lane per point of F_3^n (a head),
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
+from struct import pack
 
 from . import _native
 from ._native import HEAD, LAWS, N, RNG_MULTIPLIER, _check_sweep, flat_terms
@@ -98,35 +102,55 @@ def plane_neg(a):
 
 def _poly(acc, terms, v, ones):
     """acc plus the polynomial `terms` (see `_native.flat_terms`) at the
-    planes `v`.
+    planes `v`, with `plane_mul`, `plane_neg` and `plane_add` written inline.
 
-    Each term is a product chain from the lane mask `ones`, so a constant
-    term is `ones` itself and x*x is x's nonzero plane.
+    A monomial starts from its first factor's planes, which is the product
+    of the lane mask `ones` and that factor as long as every plane of `v`
+    keeps sg within nz within `ones`, as every draw, stack, gather and
+    operation here does.  So a constant term is `ones` itself and x*x is
+    x's nonzero plane.
     """
+    a0, a1 = acc
     for coeff, codes in terms:
-        p = (ones, 0)
-        for c in codes:
-            p = plane_mul(p, v[c])
-        acc = plane_add(acc, plane_neg(p) if coeff == 2 else p)
-    return acc
+        if codes:
+            p0, p1 = v[codes[0]]
+            for c in codes[1:]:
+                b0, b1 = v[c]
+                p0 &= b0
+                p1 = (p1 ^ b1) & p0
+        else:
+            p0, p1 = ones, 0
+        if coeff == 2:
+            p1 ^= p0
+        a0, a1 = (a0 ^ p0) | (a0 ^ a1 ^ p1), (a0 ^ p1) & (a1 ^ p0)
+    return a0, a1
 
 
 class _Planes:
     """The loop's product and inverse evaluated lane-wise on bit planes.
 
     An element is a tuple of N plane pairs.  Constant monomials need the
-    lane mask `ones`; the shipped tables have none.
+    lane mask `ones`; the shipped tables have none.  A product of two of
+    the `drawn` elements is computed once: the laws that draw the same
+    elements share it (x*x, x*y and y*x of the two-element laws).
     """
 
     identity = (_ZERO,) * N
 
-    def __init__(self, f, h, ones):
+    def __init__(self, f, h, ones, drawn=()):
         self._f, self._h, self._ones = f, h, ones
+        self._drawn, self._products = {id(x) for x in drawn}, {}
 
     def mul(self, x, y):
+        key = id(x), id(y)
+        if key in self._products:
+            return self._products[key]
         v, ones = x[:HEAD] + y[:HEAD], self._ones
-        return tuple(_poly(plane_add(a, b), terms, v, ones)
-                     for a, b, terms in zip(x, y, self._f))
+        z = tuple(_poly(plane_add(a, b), terms, v, ones)
+                  for a, b, terms in zip(x, y, self._f))
+        if self._drawn.issuperset(key):
+            self._products[key] = z
+        return z
 
     def inv(self, x):
         ones = self._ones
@@ -213,7 +237,7 @@ class PolyEvaluator:
         return lanes - nonzero.bit_count()
 
 
-# -- the lane-split xorshift-star stream -------------------------------------
+# -- the lane-major xorshift-star stream -------------------------------------
 
 def _words(word, lanes):
     """The 64-bit `word` in each of `lanes` 64-bit slots of one int."""
@@ -221,9 +245,9 @@ def _words(word, lanes):
 
 
 def _packed(states):
-    """Lane i's 64-bit state in slot i of one int."""
-    return int.from_bytes(b"".join(s.to_bytes(8, "little") for s in states),
-                          "little")
+    """Lane i's 64-bit state, of the sequence `states`, in slot i of one
+    int."""
+    return int.from_bytes(pack(f"<{len(states)}Q", *states), "little")
 
 
 def _step_masks(lanes):
@@ -258,16 +282,15 @@ def _jump_tables(stride):
     the images of its set bits; table b maps byte b of the state to the XOR
     of the images of that byte's bits.  An even stride maps each unit
     vector twice by the tables of half the stride, down to an odd stride
-    (BLOCK = 4 * 399 takes 399 steps; a sub-lane of `draw_columns` 57, 399
-    or another divisor of BLOCK); for an odd one the 64 unit vectors step
-    together as the lanes of one packed int.
+    (BLOCK = 4 * 399 takes 399 steps, UNIT = 2 * 57 takes 57); for an odd
+    one the 64 unit vectors step together as the lanes of one packed int.
     """
     if stride > 1 and stride % 2 == 0:
         half = _jump_tables(stride // 2)
         cols = [_jump(half, half[bit >> 3][1 << (bit & 7)])
                 for bit in range(64)]
     else:
-        s, masks = _packed(1 << bit for bit in range(64)), _step_masks(64)
+        s, masks = _packed([1 << bit for bit in range(64)]), _step_masks(64)
         for _ in range(stride):
             s = _advance(s, masks)
         raw = s.to_bytes(8 * 64, "little")
@@ -282,34 +305,28 @@ def _jump_tables(stride):
     return tuple(tables)
 
 
-def draw_columns(state, lanes, stride):
+def draw_columns(state, lanes, stride, keep_steps=False):
     """Draw `stride` trits per lane for `lanes` consecutive blocks.
 
-    Returns the columns, one (nz, sg) plane pair per draw, and the state
-    after the last lane's draws.  Lane i's trits equal draws
+    Returns the columns, one (nz, sg) plane pair per draw; the state after
+    the last lane's draws; and, when `keep_steps`, each draw's bytes (see
+    `_gather`), else None.  Lane i's trits equal draws
     i*stride .. (i+1)*stride - 1 of `_native.random_element`'s stream.
     """
-    # k sub-lanes of S = stride / k steps per lane, k the largest divisor
-    # of the stride with k * lanes <= CHUNK; sub-lane (L, q) starts q*S
-    # steps into lane L and sits at slot q*lanes + L
-    k = max(d for d in range(1, stride + 1)
-            if stride % d == 0 and (d == 1 or d * lanes <= CHUNK))
-    steps, width = stride // k, k * lanes
-    tables, starts = _jump_tables(steps), []
-    for _ in range(width):
+    tables, starts = _jump_tables(stride), []
+    for _ in range(lanes):
         starts.append(state)
         state = _jump(tables, state)
-    s = _packed(s for q in range(k) for s in starts[q::k])
-    masks = _step_masks(width)
+    s, masks = _packed(starts), _step_masks(lanes)
     # the output: slots 2i and 2i+1 share 16-byte pair i
-    pairs = (width + 1) // 2
+    pairs = (lanes + 1) // 2
     even = int.from_bytes((b"\xff" * 8 + bytes(8)) * pairs, "little")
     odd = even << 64
     nibbles = int.from_bytes(b"\x0f" * 16 * pairs, "little")
     sums = int.from_bytes((bytes(7) + b"\xff") * 2 * pairs, "little")
-    subcols = []
-    for batch in range(0, steps, 8):
-        n, acc = min(8, steps - batch), 0
+    cols, steps = [], [] if keep_steps else None
+    for batch in range(0, stride, 8):
+        n, acc = min(8, stride - batch), 0
         for j in range(n):
             s = _advance(s, masks)
             # Each lane's output is the low 64 bits w of its state times the
@@ -328,19 +345,32 @@ def draw_columns(state, lanes, stride):
         raw = acc.to_bytes(16 * pairs, "big")
         for j in range(n):
             digits = raw[7 - j::8]
-            subcols.append((int(digits.translate(_NZ_DIGIT), 2),
-                            int(digits.translate(_SG_DIGIT), 2)))
-    # column q*S + i is bits q*lanes .. (q+1)*lanes - 1 of sub-column i
-    keep = (1 << lanes) - 1
-    cols = [(nz >> q * lanes & keep, sg >> q * lanes & keep)
-            for q in range(k) for nz, sg in subcols]
-    return cols, state
+            cols.append((int(digits.translate(_NZ_DIGIT), 2),
+                         int(digits.translate(_SG_DIGIT), 2)))
+            if keep_steps:
+                steps.append(digits)
+    return cols, state, steps
 
 
 # -- the sweeps ----------------------------------------------------------------
 
-# Trits per lane: the least block that the trials of every law tile.
+# Trits per lane of a pass of more than one chunk: the least block that the
+# trials of every law tile, lcm(57, 38, 19, 28).
 BLOCK = lcm(*(law.trits for law in LAWS.values()))
+# The least block that the trials of the laws drawing only whole elements
+# tile, lcm(57, 38, 19); a pass of one chunk takes a multiple of it.
+UNIT = lcm(*(law.trits for law in LAWS.values() if set(law.draws) == {N}))
+
+
+def lane_stride(widest, trials):
+    """S, the trits per lane of a pass of `trials` trials of at most
+    `widest` trits each: UNIT * m for the least m that draws the pass as
+    one chunk of ceil(widest * trials / S) lanes, and BLOCK when no
+    stride below BLOCK does."""
+    for stride in range(UNIT, BLOCK, UNIT):
+        if widest * trials <= stride * CHUNK:
+            return stride
+    return BLOCK
 
 
 def _stack(cols, law, width):
@@ -358,6 +388,32 @@ def _stack(cols, law, width):
             nz = (nz << width) | (a & keep)
             sg = (sg << width) | (b & keep)
         stacked.append((nz, sg))
+    return law.place(_Planes.identity, stacked)
+
+
+def _gather(steps, law, stride, width):
+    """`_stack` for a law whose width w does not divide the stride, read
+    from the draw's bytes `steps` (slot i at index -1 - i of each).
+
+    Its trials tile the period lcm(w, stride) of k = period / stride
+    lanes, r = period / w trials, and group g of period V is trial
+    r*V + g.  Its trit j is draw (g*w + j) % stride of lane
+    V*k + (g*w + j) // stride.  A group holds `width` periods; lanes past
+    the draw read as zero trits.
+    """
+    w = law.trits
+    k = lcm(w, stride) // stride
+    span = k * width
+    # lane i at index i, zero trits up to the last lane read
+    pad = bytes(max(0, span - len(steps[0])))
+    rows = [digits[::-1] + pad for digits in steps]
+    # trit o*stride + d of every period: draw d of its lane o
+    trits = [row[o:o + span:k] for o in range(k) for row in rows]
+    stacked = []
+    for j in range(w):
+        digits = b"".join(trits[j::w])[::-1]
+        stacked.append((int(digits.translate(_NZ_DIGIT), 2),
+                        int(digits.translate(_SG_DIGIT), 2)))
     return law.place(_Planes.identity, stacked)
 
 
@@ -386,31 +442,41 @@ class LoopKernel(_native.LoopKernel):
         `_native.LoopKernel.sweep` returns, keyed by name."""
         names = tuple(names)
         _check_sweep(names, seed, trials)
-        laws = [(name, LAWS[name], BLOCK // LAWS[name].trits)
-                for name in names]
-        lanes_needed = max(-(-trials // r) for _, _, r in laws)
+        widest = max(LAWS[name].trits for name in names)
+        stride = lane_stride(widest, trials)
+        # per law: the lanes k and groups r of its period lcm(w, stride);
+        # k > 1 needs a stride below BLOCK, so a pass of one chunk
+        laws = []
+        for name in names:
+            law = LAWS[name]
+            period = lcm(law.trits, stride)
+            laws.append((name, law, period // stride, period // law.trits))
+        gathered = any(k > 1 for _, _, k, _ in laws)
+        lanes_needed = -(-widest * trials // stride)
         found = {name: [0, -1, None] for name in names}
         state = seed
         for start in range(0, lanes_needed, CHUNK):
             lanes = min(CHUNK, lanes_needed - start)
-            cols, state = draw_columns(state, lanes, BLOCK)
-            stacked = {}
-            for name, law, r in laws:
-                # lanes of this chunk whose group-g trial is in the budget
+            cols, state, steps = draw_columns(state, lanes, stride, gathered)
+            drawn = {}
+            for name, law, k, r in laws:
+                # periods of this chunk whose group-g trial is in the budget
                 counts = [min(lanes, -(-(trials - g) // r) - start)
                           for g in range(r)]
                 width = counts[0]
                 if width <= 0:
                     continue
                 # laws of the same draws have the same r, so the same width
-                if law.draws not in stacked:
-                    stacked[law.draws] = _stack(cols, law, width)
-                xs = stacked[law.draws]
+                if law.draws not in drawn:
+                    xs = (_gather(steps, law, stride, width) if k > 1
+                          else _stack(cols, law, width))
+                    ones = (1 << (r * width)) - 1
+                    drawn[law.draws] = xs, _Planes(self._f, self._h, ones, xs)
+                xs, p = drawn[law.draws]
                 mask = 0
                 for g, n in enumerate(counts):
                     if n > 0:
                         mask |= ((1 << n) - 1) << (g * width)
-                p = _Planes(self._f, self._h, (1 << (r * width)) - 1)
                 bad = _differ(law.lhs(p, *xs), law.rhs(p, *xs)) & mask
                 if bad:
                     entry = found[name]

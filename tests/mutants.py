@@ -31,6 +31,10 @@ STREAM = "tests/test_batch_parity.py::test_lane_split_stream_matches_reference"
 CHUNKS = ("tests/test_one_draw.py::"
           "test_one_and_two_lane_chunks_match_reference")
 LATER_GROUP = "tests/test_one_draw.py::test_first_failure_in_a_later_group"
+GATE_TAIL = ("tests/test_shared_sweeps.py::"
+             "test_gate_tail_sweep_matches_reference")
+STRIDE_RULE = "tests/test_batch_parity.py::test_lane_stride_rule"
+POLY = "tests/test_plane_invariants.py::test_poly_matches_scalar_evaluation"
 
 
 class Mutant(NamedTuple):
@@ -75,15 +79,30 @@ MUTANTS = [
            "return (a0 ^ b0) | (a0 ^ a1 ^ b1), (a0 ^ b1) | (a1 ^ b0)",
            ("tests/test_batch_parity.py::test_plane_arithmetic_matches_gf3",
             CHUNKS)),
-    Mutant("kernel-9", "sub-lanes are packed lane-major", KERNEL,
-           "s = _packed(s for q in range(k) for s in starts[q::k])",
-           "s = _packed(starts)", (STREAM,)),
+    Mutant("kernel-9", "the gather steps by a period's trials, not its "
+           "lanes", KERNEL,
+           "k = lcm(w, stride) // stride", "k = lcm(w, stride) // w",
+           (GATE_TAIL,)),
     Mutant("kernel-10", "the batched output shifts each step a byte too far",
            KERNEL,
            "acc |= p >> 8 * (7 - j)", "acc |= p >> 8 * (8 - j)", (STREAM,)),
     Mutant("kernel-11", "a short last output batch is dropped", KERNEL,
-           "for batch in range(0, steps, 8):",
-           "for batch in range(0, steps - 7, 8):", (STREAM,)),
+           "for batch in range(0, stride, 8):",
+           "for batch in range(0, stride - 7, 8):", (STREAM,)),
+    Mutant("kernel-12", "the gather drops a trit's lane offset in its "
+           "period", KERNEL,
+           "row[o:o + span:k]", "row[0:span:k]", (GATE_TAIL,)),
+    Mutant("kernel-13", "the stride rule takes m one too large", KERNEL,
+           "            return stride\n",
+           "            return stride + UNIT\n", (STRIDE_RULE,)),
+    Mutant("kernel-14", "_poly's product keeps a sign where it is zero",
+           KERNEL,
+           "p1 = (p1 ^ b1) & p0", "p1 = p1 ^ b1", (POLY,)),
+    Mutant("kernel-15", "_poly multiplies the first factor in twice", KERNEL,
+           "for c in codes[1:]:", "for c in codes:", (POLY,)),
+    Mutant("kernel-16", "products are shared by their left factor alone",
+           KERNEL,
+           "key = id(x), id(y)", "key = id(x), id(x)", (CHUNKS,)),
 ]
 
 

@@ -1,8 +1,10 @@
 """The scalar reference of the batched sweeps: one pass of
 `_native.LoopKernel.verdicts` to the largest budget, read off per budget;
-and the tables, seeds and jump tables the sweep tests share."""
+the batched pass's layout written out again; and the tables, seeds and
+jump tables the sweep tests share."""
 
 from itertools import islice
+from math import lcm
 
 from moufang3 import _native, kernel, tables
 
@@ -14,8 +16,36 @@ SEEDS = (1, 42, (1 << 64) - 1)
 # 19 per element, 9 per tail on coordinates 11..19
 TRITS = {"moufang": 57, "left_alternative": 38, "right_alternative": 38,
          "flexible": 38, "inverse": 19, "tail_central": 28}
-# trials per lane: a lane holds 1596 trits
-GROUPS = {name: 1596 // w for name, w in TRITS.items()}
+# trits per lane: 114 * m, m in 1..14; 114 = lcm(57, 38, 19) and
+# 1596 = 14 * 114 = lcm(57, 38, 19, 28)
+UNIT, BLOCK = 114, 1596
+
+
+def stride(trials, chunk, names=NAMES):
+    """The trits per lane of a pass: 114 * m for the least m in 1..13
+    that draws it as one chunk of ceil(w * trials / stride) lanes, w the
+    widest trial, else 1596."""
+    w = max(TRITS[name] for name in names)
+    return next((s for s in range(UNIT, BLOCK, UNIT)
+                 if w * trials <= s * chunk), BLOCK)
+
+
+def lanes(trials, chunk, names=NAMES):
+    """The lanes a pass draws, over all its chunks."""
+    w = max(TRITS[name] for name in names)
+    return -(-w * trials // stride(trials, chunk, names))
+
+
+def groups(name, s):
+    """A law's trials per period lcm(w, s) of lanes of s trits: group g of
+    period V is trial groups * V + g."""
+    return lcm(TRITS[name], s) // TRITS[name]
+
+
+def chunk_of(name, trial, trials, chunk, names=NAMES):
+    """The chunk that draws the last trit of a law's trial in a pass."""
+    s = stride(trials, chunk, names)
+    return (TRITS[name] * (trial + 1) - 1) // s // chunk
 
 
 def flat_tables(mutation=None):
@@ -85,3 +115,15 @@ def check_budgets(flat, seed, trials_list, names=NAMES):
         for n in names:
             assert got[n] == reference(per_trial[n], trials), (n, trials)
     return per_trial
+
+
+def spy_draws(monkeypatch):
+    """The (lanes, stride) of each `kernel.draw_columns` call from now on."""
+    draw_columns, calls = kernel.draw_columns, []
+
+    def spy(state, lanes, stride, keep_steps=False):
+        calls.append((lanes, stride))
+        return draw_columns(state, lanes, stride, keep_steps)
+
+    monkeypatch.setattr(kernel, "draw_columns", spy)
+    return calls

@@ -1,8 +1,9 @@
 """The batched sweeps must agree bit for bit with the scalar reference.
 
 `kernel.LoopKernel.sweep` runs up to CHUNK lanes per pass on bit planes,
-each lane holding r trials of a law (28 for Moufang up to 84 for the
-inverse law); `_native` runs one trial at a time and is the reference,
+each lane of S trits holding S / w trials of a law of w trits, or a
+period of lcm(w, S) / S lanes holding lcm(w, S) / w; `_native` runs one
+trial at a time and is the reference,
 computed once per table, law and seed up to the largest budget and read off
 per budget.  Both are pure Python, so these tests always run.
 """
@@ -15,14 +16,21 @@ import pytest
 from moufang3 import _native, kernel
 from moufang3.kernel import PolyEvaluator
 
-from sweep_reference import (GROUPS, NAMES, SEEDS, flat_tables, reference,
-                             sparse_table)
+from sweep_reference import (BLOCK, NAMES, SEEDS, TRITS, UNIT, chunk_of,
+                             flat_tables, groups, lanes, reference,
+                             sparse_table, spy_draws, stride)
 from test_acceptance import MUTATIONS
 
 CHUNK = kernel.CHUNK
-# trial counts around 2048, not chunk boundaries: a chunk is CHUNK = 2048
-# lanes, r * 2048 trials, so the largest budget fills 74 lanes of one chunk
+# trial counts around 2048, not chunk boundaries: one law's sweep of at
+# most 2049 trials is one chunk of lanes of 114 trits
 TRIALS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1)
+
+
+def test_single_sweep_budgets_are_one_chunk_of_the_shortest_lanes():
+    for name in NAMES:
+        assert stride(max(TRIALS), CHUNK, (name,)) == UNIT
+        assert lanes(max(TRIALS), CHUNK, (name,)) <= CHUNK
 
 
 @pytest.mark.parametrize("mutation", [None] + MUTATIONS,
@@ -42,29 +50,34 @@ def test_first_failure_in_a_later_chunk(monkeypatch):
     # a monomial in all 20 head variables breaks flexibility only where
     # every head coordinate of both factors is nonzero; at this seed the
     # first failure is trial 2573, in lane 61 of 42 flexibility trials
-    # each, so a CHUNK of 32 lanes puts it in the second chunk
+    # each, so a CHUNK of 32 lanes of 1596 trits puts it in the second
+    # chunk, alone and beside Moufang
     monkeypatch.setattr(kernel, "CHUNK", 32)
     f, h = sparse_table(20)
     ref, fast = _native.LoopKernel(f, h), kernel.LoopKernel(f, h)
-    trials = 2 * GROUPS["flexible"] * kernel.CHUNK
+    trials = 2 * groups("flexible", BLOCK) * kernel.CHUNK
     want = ref.sweep("flexible", 2, trials)
     assert fast.sweep("flexible", 2, trials) == want
     got = fast.sweep_many(NAMES[:5], 2, trials)
     assert got["flexible"] == want
-    assert want[1] // GROUPS["flexible"] >= kernel.CHUNK, want
+    for names in (("flexible",), NAMES[:5]):
+        assert chunk_of("flexible", want[1], trials, kernel.CHUNK,
+                        names) == 1, want
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_constant_monomials_match_reference(monkeypatch, name):
     # a constant term is the all-lanes plane; r * CHUNK + 1 trials of a law
-    # of r trials per lane leave one lane in the last chunk
+    # of r trials per 1596-trit lane leave one lane in the last chunk
     monkeypatch.setattr(kernel, "CHUNK", 2)
     f, h = flat_tables()
     f[18] = f[18] + [(1, ())]
     h[18] = h[18] + [(2, ())]
     ref, fast = _native.LoopKernel(f, h), kernel.LoopKernel(f, h)
-    trials = GROUPS[name] * kernel.CHUNK + 1
+    trials = groups(name, BLOCK) * kernel.CHUNK + 1
+    draws = spy_draws(monkeypatch)
     assert fast.sweep(name, 42, trials) == ref.sweep(name, 42, trials)
+    assert draws == [(2, BLOCK), (1, BLOCK)]
 
 
 def test_unreduced_coefficients_read_as_their_residues():
@@ -111,13 +124,13 @@ def test_zero_terms_with_bad_codes_are_refused(build, flat, message):
         build(*flat)
 
 
-# (lanes, elements per lane): a stride of 19 * elements trits.  At BLOCK =
-# 84 * 19 the lanes of a `verify --trials 2000` pass (72) split into 28
-# sub-lanes of 57 steps, which ends in a short output batch; 5 lanes into
-# 399 of 4 steps; CHUNK // 3 + 1 lanes into 2; and from CHUNK // 2 + 1 lanes
-# on a lane is not split
+# (lanes, elements per lane): a stride of 19 * elements trits.  Lanes of
+# 19 and 57 trits end in a short output batch of 3 and 1 steps, an odd
+# width leaves the high half of the last 16-byte pair empty, (1000, 6) is
+# a `verify --trials 2000` pass and (CHUNK, 84) a full chunk of BLOCK
 LANE_SPLITS = [(1, 1), (7, 3), (CHUNK, 1), (72, 84), (5, 84),
-               (CHUNK // 3 + 1, 84), (CHUNK // 2 + 1, 84), (CHUNK, 84)]
+               (CHUNK // 3 + 1, 84), (CHUNK // 2 + 1, 84), (CHUNK, 84),
+               (1000, 6)]
 
 
 @lru_cache(maxsize=None)
@@ -146,29 +159,35 @@ def test_lane_split_stream_matches_reference(seed, lanes, per_lane):
         column = trits[c:lanes * stride:stride][::-1]
         want.append((int(column.translate(b"011" + bytes(253)), 2),
                      int(column.translate(b"001" + bytes(253)), 2)))
-    assert kernel.draw_columns(seed, lanes, stride) == \
-        (want, after[lanes * stride])
+    cols, state, steps = kernel.draw_columns(seed, lanes, stride)
+    assert (cols, state, steps) == (want, after[lanes * stride], None)
+    # the kept draw bytes read the same trits, lane i at index -1 - i
+    steps = kernel.draw_columns(seed, lanes, stride, True)[2]
+    assert [(int(d.translate(kernel._NZ_DIGIT), 2),
+             int(d.translate(kernel._SG_DIGIT), 2)) for d in steps] == want
 
 
-@pytest.mark.parametrize("stride", [kernel.BLOCK, 19, 57])
-def test_packed_width_is_at_most_a_chunk(monkeypatch, stride):
-    # each lane splits into the most sub-lanes, k a divisor of the stride,
-    # that keep all k * lanes of them in one chunk
-    monkeypatch.setattr(kernel, "CHUNK", 64)
-    packed, widths = kernel._packed, []
-
-    def spy(states):
-        states = list(states)
-        widths.append(len(states))
-        return packed(states)
-
-    monkeypatch.setattr(kernel, "_packed", spy)
-    for lanes in range(1, kernel.CHUNK + 1):
-        kernel.draw_columns(1, lanes, stride)
-        k = widths.pop() // lanes
-        assert stride % k == 0 and k * lanes <= kernel.CHUNK
-        assert not any(stride % d == 0
-                       for d in range(k + 1, kernel.CHUNK // lanes + 1))
+@pytest.mark.parametrize("chunk", [1, 64, CHUNK])
+def test_lane_stride_rule(monkeypatch, chunk):
+    # S = 114 * m for the least m in 1..13 that draws the pass as one chunk
+    # of ceil(w * trials / S) lanes, else 1596; the budgets sit on each
+    # m's last trial count and one past it, for every widest trial w
+    monkeypatch.setattr(kernel, "CHUNK", chunk)
+    for name, w in TRITS.items():
+        edges = {UNIT * m * chunk // w for m in range(1, 15)}
+        for trials in sorted({0, 1} | edges | {e + 1 for e in edges}):
+            s = kernel.lane_stride(w, trials)
+            assert s == stride(trials, chunk, (name,)), (w, trials)
+            assert s % UNIT == 0 and UNIT <= s <= BLOCK
+            assert s == BLOCK or w * trials <= s * chunk
+            assert s == UNIT or w * trials > (s - UNIT) * chunk
+    # a pass draws its lanes at that stride, and only its widest law counts
+    draws = spy_draws(monkeypatch)
+    kernel.LoopKernel(*flat_tables()).sweep_many(
+        ("inverse", "tail_central"), 42, 3 * chunk + 1)
+    s = stride(3 * chunk + 1, chunk, ("tail_central",))
+    assert {d[1] for d in draws} == {s}
+    assert sum(d[0] for d in draws) == -(-28 * (3 * chunk + 1) // s)
 
 
 def test_plane_arithmetic_matches_gf3():

@@ -1,11 +1,13 @@
-"""One lane block for all six sweeps.
+"""One draw of lane-major lanes for all six sweeps.
 
-`kernel` draws BLOCK = 1596 trits per lane once per chunk and reads every
-law's trials off that draw: Moufang has 28 groups per lane, the alternative
-laws and flexibility 42, the inverse law 84 and `tail_central` 57.  The
-cases here cross those lane, group and chunk boundaries against the
-per-trial `_native` reference, check that one draw of stride BLOCK per
-chunk serves every law, and pin how the pass time is split between laws.
+`kernel` draws S = 114 * m trits per lane once per chunk and reads every
+law's trials off that draw (see `sweep_reference.stride`): a law of w
+trits has r = lcm(w, S) / w trials per period of lcm(w, S) / S lanes, so
+at S = 114 Moufang has 2 per lane, the alternative laws and flexibility 3,
+the inverse law 6 and `tail_central` 57 per 14 lanes.  The cases here cross
+those lane, group and chunk boundaries against the per-trial `_native`
+reference, check that one draw per chunk serves every law, and pin how the
+pass time is split between laws.
 """
 
 import pytest
@@ -13,12 +15,13 @@ import pytest
 from moufang3 import _native, kernel, sweeps
 from moufang3.loop import Loop
 
-from sweep_reference import (GROUPS, NAMES, SEEDS, TRITS, check_budgets,
-                             flat_tables, head_table, sparse_table)
+from sweep_reference import (BLOCK, NAMES, SEEDS, TRITS, UNIT, check_budgets,
+                             flat_tables, groups, head_table, lanes,
+                             sparse_table, spy_draws, stride)
 from test_acceptance import MUTATIONS
 
-# around 1, 2 and 3 lanes of Moufang (28 trials each), of tail_central (57)
-# and of the inverse law (84)
+# around 1, 2 and 3 lanes of 1596 trits: 28 Moufang trials, 57 of
+# tail_central and 84 of the inverse law each
 BUDGETS = (0, 1, 27, 28, 29, 56, 57, 58, 83, 84, 85, 2 * 84 + 1, 3 * 57 + 1)
 
 # no criterion-10 mutation breaks tail_central; "f19 plus x1..x6" does
@@ -29,21 +32,28 @@ TABLES = {"shipped": flat_tables, "f19 plus x1..x6": lambda: head_table(6),
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("table", TABLES)
 def test_one_and_two_lane_chunks_match_reference(monkeypatch, table, seed):
+    draws = spy_draws(monkeypatch)
     for chunk in (1, 2):
         monkeypatch.setattr(kernel, "CHUNK", chunk)
+        draws.clear()
         check_budgets(TABLES[table](), seed, BUDGETS)
+        # passes of several full chunks of 1596-trit lanes, and one-chunk
+        # passes of shorter lanes, where tail_central's trials cross lanes
+        assert draws.count((chunk, BLOCK)) > 1
+        assert any(s < BLOCK and s % TRITS["tail_central"] for _, s in draws)
 
 
 @pytest.mark.parametrize("name,flat,seed,trials", [
     ("tail_central", head_table(6), 2, 2 * 57),
-    ("inverse", sparse_table(8), 2, 2 * 84),
+    ("inverse", sparse_table(10), 2, 2 * 84),
     ("moufang", sparse_table(6), 1, 400),
     ("inverse", sparse_table(6), 4, 400)])
 def test_first_failure_in_a_later_group(name, flat, seed, trials):
-    # the least failing trial is in group g > 0 of its lane, and group 0
-    # fails only in a later lane: the least trial is not in the first group
-    # that fails
-    r = GROUPS[name]
+    # the least failing trial is in group g > 0 of its period, and group 0
+    # fails only in a later period: the least trial is not in the first
+    # group that fails
+    r = groups(name, stride(trials, kernel.CHUNK))
+    assert r > 1
     per_trial = check_budgets(flat, seed, (trials,))[name]
     bad = [i for i, w in enumerate(per_trial) if w is not None]
     assert bad[0] % r > 0
@@ -52,26 +62,19 @@ def test_first_failure_in_a_later_group(name, flat, seed, trials):
 
 @pytest.mark.parametrize("chunk,trials", [(2, 200), (None, 28 * 2048 + 1)])
 def test_one_draw_per_chunk_serves_every_law(monkeypatch, chunk, trials):
-    assert kernel.BLOCK == 1596
     if chunk is not None:
         monkeypatch.setattr(kernel, "CHUNK", chunk)
-    draw_columns, calls = kernel.draw_columns, []
-
-    def spy(state, lanes, stride):
-        calls.append((lanes, stride))
-        return draw_columns(state, lanes, stride)
-
-    monkeypatch.setattr(kernel, "draw_columns", spy)
+    calls = spy_draws(monkeypatch)
     kernel.LoopKernel(*flat_tables()).sweep_many(NAMES, 42, trials)
-    lanes = -(-trials // 28)             # Moufang has the fewest groups
-    assert len(calls) == -(-lanes // kernel.CHUNK)
-    assert sum(n for n, _ in calls) == lanes
-    assert all(stride == kernel.BLOCK for _, stride in calls)
+    need = lanes(trials, kernel.CHUNK)
+    assert len(calls) == -(-need // kernel.CHUNK) > 1
+    assert sum(n for n, _ in calls) == need
+    assert all(s == stride(trials, kernel.CHUNK) == BLOCK for _, s in calls)
 
 
 def test_law_trits_match_the_written_out_counts():
     assert {name: law.trits for name, law in _native.LAWS.items()} == TRITS
-    assert kernel.BLOCK == 1596
+    assert (kernel.UNIT, kernel.BLOCK) == (UNIT, BLOCK) == (114, 1596)
 
 
 def test_pass_time_is_shared_by_trits_read(monkeypatch):
@@ -92,4 +95,3 @@ def test_pass_time_is_shared_by_trits_read(monkeypatch):
     assert total == 218
     assert shared.seconds == {name: 3.0 * TRITS[name] / total
                               for name in NAMES}
-

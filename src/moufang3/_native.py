@@ -52,6 +52,13 @@ class Law(NamedTuple):
         """Trits a trial reads."""
         return sum(self.draws)
 
+    @property
+    def heads(self):
+        """Offsets in a trial's draw of the trits `place` puts on the head
+        coordinates 1..HEAD: the first HEAD - (N - w) of a draw of w."""
+        return tuple(o for w, end in zip(self.draws, accumulate(self.draws))
+                     for o in range(end - w, end - N + HEAD))
+
     def place(self, identity, flat):
         """A trial's drawn elements: `flat` cut into parts of the widths
         `draws`, each filling the last coordinates of `identity`."""

@@ -4,54 +4,59 @@ GF(3) arithmetic for the identity sweeps and the variety count.
 `LoopKernel` is `_native.LoopKernel` with `sweep` replaced and `sweep_many`
 added; products, inverses and draws of single elements stay the scalar
 reference.  It trusts its inputs: `loop.Loop` and `symbolic.embed` are
-where elements are checked.  A sweep runs CHUNK lanes per pass and returns
-exactly what `_native` returns: the same violation count, first failing
-trial and witness, because every lane consumes the same xorshift-star
-stream and evaluates the same law of `_native.LAWS`, on bit planes.
+where elements are checked.  A sweep returns exactly what `_native`
+returns: the same violation count, first failing trial and witness, from
+the same xorshift-star stream and the same law of `_native.LAWS`, evaluated
+for many trials at once on bit planes.  Since all sweeps restart from one
+seed, `sweep_many` draws the stream once and evaluates all of them on it;
+`sweeps.SharedSweeps` times the pass.
 
-Lanes: lane i of a chunk holds S consecutive trits of the stream, the
-i-th block of S.  A trial reads w = `Law.trits` trits, the sum of its
+Heads only: a verdict reads only the head trits of a trial, the ones
+`Law.place` puts on coordinates 1..HEAD (`Law.heads`).  The tables read
+heads only, so a tail enters every product and inverse additively, and
+every law has the same drawn elements with the same signs on both sides,
+so the tails cancel from lhs - rhs.  A law added to `LAWS` must keep this:
+`tests/test_law_oracle.py` checks it on zero tables, where the sides are
+linear.  The draw computes head trits only and the laws read zero tails;
+the witness of a failing law is redrawn whole with `_native._trits`.
+
+Lanes: a pass draws lanes of S consecutive trits of the stream, lane L the
+L-th block of S.  A trial reads w = `Law.trits` trits, the sum of its
 law's `draws` (N = 19 an element, N - HEAD = 9 a tail): 57 for Moufang, 38
 for each alternative law and flexibility, 19 for the inverse law and 28
 for `tail_central`.  S is UNIT * m, UNIT = lcm(57, 38, 19) = 114, for the
 least m in 1..13 that draws the pass as one chunk of ceil(w * trials / S)
 lanes, w the widest trial of the pass (`lane_stride`); every other pass
 takes BLOCK = 14 * UNIT = lcm(57, 38, 19, 28) = 1596 trits a lane, over as
-many chunks as it needs.  So a `verify --trials 2000` pass is one chunk of
-1000 lanes of 114 trits, and a million-trial pass 18 chunks of 1596.
-A law whose w divides S has r = S / w groups per lane, and group g of
-lane L is trial r*L + g, reading trits g*w .. g*w + w - 1 of the lane:
-`_stack` cuts them out of the columns.  `tail_central` at S < BLOCK does
-not tile a lane; its trials tile the period lcm(28, S) of k lanes, and
-`_gather` slices them out of the draw's bytes into the same group layout,
-a period in place of a lane.
-One draw per chunk therefore serves every law, and since all sweeps restart
-from one seed, `sweep_many` evaluates all of them on it.  It returns their
-results only; `sweeps.SharedSweeps` times the pass.  Each group is masked
-to the periods whose trial is below the budget; the first failing trial is
-the least over all groups, and the witness is read from that group's lane.
+many chunks of at most CHUNK lanes as it needs.  So a chunk holds whole
+trials of every law, and a `verify --trials 2000` pass is one chunk of
+1000 lanes of 114 trits.
 
 Stream: lane L starts at the seed advanced by L*S steps, from the jump-
 ahead by S, a GF(2)-linear map of the 64-bit state (Haramoto et al. 2008)
-applied as eight 256-entry byte tables; the tables are built the same way
-as the draw, by stepping the 64 unit vectors together in one packed int,
-or for an even stride from the tables of half of it.  The start states are
-packed lane-major, lane i in 64-bit slot i of one int, and all lanes step
-together S times.  For the 126-bit product by the multiplier, slot 2i
-multiplies in the low and slot 2i+1 in the high half of 16-byte pair i,
-then nibble sums reduce each output mod 3 into one byte.  Eight steps'
-bytes collect in one int, converted by one `to_bytes` call; each step's
-bytes, one per lane, become a column of planes.
+applied as eight 256-entry byte tables, built by stepping the 64 unit
+vectors together in one packed int.  The start states are packed lane-
+major, lane i in 64-bit slot i of one int, and all lanes step together S
+times.  For the 126-bit product by the multiplier, slot 2i multiplies in
+the low and slot 2i+1 in the high half of 16-byte pair i, then nibble sums
+reduce each output mod 3 into one byte.  `draw_lanes` computes step j's
+outputs only for the leading lanes up to the last that holds a head trit
+of a trial within the budget (`head_reach`), collects eight steps' bytes in
+one int, converted by one `to_bytes` call, and stores each step with one
+strided slice into a bytearray in stream order: byte p is draw p.
+
+Trials: each law reads the n trials of a chunk as planes of one lane per
+trial, trial i at bit i: its trit j is the bytearray's bytes j, j + w, ..,
+parsed for the head offsets j and zero for the others.  The first failing
+trial is the lowest set bit of the lanes where the sides differ.
 
 Arithmetic: a column of trits, one per lane, is two bit-plane ints
 (Boothby & Bradshaw 2009): `nz` has bit i set when lane i's trit is nonzero
 and `sg` when it is 2.  GF(3) addition costs six big-int operations and
 multiplication three, so one product of the loop evaluates the flattened
 f table for every lane at once, read in the one flat format that the
-scalar kernel reads too (`_native.flat_terms`).  The r groups of a law are
-stacked side by side into planes r lane-widths wide, so one evaluation
-covers them all; laws of the same `draws` share the stacked planes and
-their products of two drawn elements.
+scalar kernel reads too (`_native.flat_terms`).  Laws of the same `draws`
+share their planes and their products of two drawn elements.
 
 Counting: `PolyEvaluator.count_all_zero` evaluates a system of flattened
 polynomials in at most HEAD variables, one lane per point of F_3^n (a head),
@@ -67,7 +72,8 @@ from math import lcm
 from struct import pack
 
 from . import _native
-from ._native import HEAD, LAWS, N, RNG_MULTIPLIER, _check_sweep, flat_terms
+from ._native import (HEAD, LAWS, N, RNG_MULTIPLIER, _check_sweep, _trits,
+                      flat_terms)
 
 BACKEND = "pure"
 
@@ -106,8 +112,8 @@ def _poly(acc, terms, v, ones):
 
     A monomial starts from its first factor's planes, which is the product
     of the lane mask `ones` and that factor as long as every plane of `v`
-    keeps sg within nz within `ones`, as every draw, stack, gather and
-    operation here does.  So a constant term is `ones` itself and x*x is
+    keeps sg within nz within `ones`, as every draw, column and operation
+    here does.  So a constant term is `ones` itself and x*x is
     x's nonzero plane.
     """
     a0, a1 = acc
@@ -167,11 +173,6 @@ def _differ(lhs, rhs):
     for (a0, a1), (b0, b1) in zip(lhs, rhs):
         bad |= (a0 ^ b0) | (a1 ^ b1)
     return bad
-
-
-def lane_trits(planes, lane):
-    """One lane's trits out of a sequence of plane pairs."""
-    return tuple(((nz >> lane) & 1) + ((sg >> lane) & 1) for nz, sg in planes)
 
 
 # -- counting the zeros of a polynomial system ---------------------------------
@@ -280,43 +281,30 @@ def _jump_tables(stride):
 
     The step is linear over GF(2), so the image of a state is the XOR of
     the images of its set bits; table b maps byte b of the state to the XOR
-    of the images of that byte's bits.  An even stride maps each unit
-    vector twice by the tables of half the stride, down to an odd stride
-    (BLOCK = 4 * 399 takes 399 steps, UNIT = 2 * 57 takes 57); for an odd
-    one the 64 unit vectors step together as the lanes of one packed int.
+    of the images of that byte's bits.  The 64 unit vectors step together,
+    `stride` times, as the lanes of one packed int.
     """
-    if stride > 1 and stride % 2 == 0:
-        half = _jump_tables(stride // 2)
-        cols = [_jump(half, half[bit >> 3][1 << (bit & 7)])
-                for bit in range(64)]
-    else:
-        s, masks = _packed([1 << bit for bit in range(64)]), _step_masks(64)
-        for _ in range(stride):
-            s = _advance(s, masks)
-        raw = s.to_bytes(8 * 64, "little")
-        cols = [int.from_bytes(raw[8 * bit:8 * bit + 8], "little")
-                for bit in range(64)]
+    s, masks = _packed([1 << bit for bit in range(64)]), _step_masks(64)
+    for _ in range(stride):
+        s = _advance(s, masks)
+    raw = s.to_bytes(8 * 64, "little")
     tables = []
     for b in range(8):
         t = [0]
-        for col in cols[8 * b:8 * b + 8]:
+        for bit in range(8 * b, 8 * b + 8):
+            col = int.from_bytes(raw[8 * bit:8 * bit + 8], "little")
             t += [v ^ col for v in t]
         tables.append(tuple(t))
     return tuple(tables)
 
 
-def draw_columns(state, lanes, stride, keep_steps=False):
-    """Draw `stride` trits per lane for `lanes` consecutive blocks.
-
-    Returns the columns, one (nz, sg) plane pair per draw; the state after
-    the last lane's draws; and, when `keep_steps`, each draw's bytes (see
-    `_gather`), else None.  Lane i's trits equal draws
-    i*stride .. (i+1)*stride - 1 of `_native.random_element`'s stream.
+def draw_lanes(starts, stride, reach):
+    """The draws of lanes of `stride` trits from the states `starts`, in
+    stream order: byte L*stride + j is the nibble sum of lane L's draw j,
+    which is its trit mod 3, for the first reach[j] lanes, and 0 for the
+    others.  A step that no lane needs only advances the state.
     """
-    tables, starts = _jump_tables(stride), []
-    for _ in range(lanes):
-        starts.append(state)
-        state = _jump(tables, state)
+    lanes = len(starts)
     s, masks = _packed(starts), _step_masks(lanes)
     # the output: slots 2i and 2i+1 share 16-byte pair i
     pairs = (lanes + 1) // 2
@@ -324,32 +312,43 @@ def draw_columns(state, lanes, stride, keep_steps=False):
     odd = even << 64
     nibbles = int.from_bytes(b"\x0f" * 16 * pairs, "little")
     sums = int.from_bytes((bytes(7) + b"\xff") * 2 * pairs, "little")
-    cols, steps = [], [] if keep_steps else None
+    data = bytearray(lanes * stride)
+    # per count of leading lanes, the mask of their slots
+    low = {lanes: -1}
     for batch in range(0, stride, 8):
-        n, acc = min(8, stride - batch), 0
-        for j in range(n):
+        counts, acc = reach[batch:batch + 8], 0
+        for j, count in enumerate(counts):
             s = _advance(s, masks)
-            # Each lane's output is the low 64 bits w of its state times the
-            # multiplier, which needs 128 bits: even slots multiply in the
-            # low half of their pair, odd slots in the high half.  w mod 3
-            # is the sum of its 16 nibbles mod 3, which byte 7 of its half
-            # holds after the nibbles are spread into bytes and multiplied
-            # by _BYTE_SUM (at most 240, so no byte carries).
-            p = ((s & even) * RNG_MULTIPLIER & even
-                 | (s & odd) * RNG_MULTIPLIER & odd)
-            p = ((p & nibbles) + ((p >> 4) & nibbles)) * _BYTE_SUM & sums
-            # step j's sums go to bytes j and 8 + j of each pair
-            acc |= p >> 8 * (7 - j)
-        # big-endian, pair `pairs`-1 first, its byte 8 + j before byte j:
-        # every eighth byte from 7 - j reads slot i at bit i of the plane
-        raw = acc.to_bytes(16 * pairs, "big")
-        for j in range(n):
-            digits = raw[7 - j::8]
-            cols.append((int(digits.translate(_NZ_DIGIT), 2),
-                         int(digits.translate(_SG_DIGIT), 2)))
-            if keep_steps:
-                steps.append(digits)
-    return cols, state, steps
+            if count:
+                if count not in low:
+                    low[count] = (1 << 64 * count) - 1
+                t = s & low[count]
+                # Each lane's output is the low 64 bits w of its state times
+                # the multiplier, which needs 128 bits: even slots multiply
+                # in the low half of their pair, odd slots in the high half.
+                # w mod 3 is the sum of its 16 nibbles mod 3, which byte 7 of
+                # its slot holds after the nibbles are spread into bytes and
+                # multiplied by _BYTE_SUM (at most 240, so no byte carries).
+                p = ((t & even) * RNG_MULTIPLIER & even
+                     | (t & odd) * RNG_MULTIPLIER & odd)
+                p = ((p & nibbles) + ((p >> 4) & nibbles)) * _BYTE_SUM & sums
+                # step j's sums go to byte j of each slot
+                acc |= p >> 8 * (7 - j)
+        if acc:
+            raw = acc.to_bytes(8 * max(counts), "little")
+            for j, count in enumerate(counts):
+                if count:
+                    at = batch + j
+                    data[at:at + count * stride:stride] = raw[j:8 * count:8]
+    return data
+
+
+def _column(data, j, w, n):
+    """Trit j of each of n trials of w trits laid end to end in `data`, as
+    a plane pair, trial i at bit i."""
+    digits = data[j + (n - 1) * w::-w]
+    return (int(digits.translate(_NZ_DIGIT), 2),
+            int(digits.translate(_SG_DIGIT), 2))
 
 
 # -- the sweeps ----------------------------------------------------------------
@@ -373,61 +372,23 @@ def lane_stride(widest, trials):
     return BLOCK
 
 
-def _stack(cols, law, width):
-    """A law's drawn elements for every group of a chunk, stacked.
-
-    A trial reads w = law.trits trits, so column j of group g is
-    cols[g*w + j].  Each group's column is cut to `width` lanes and put at
-    bit g*width; the stacked columns are then placed per the law's `draws`.
-    """
-    w, keep = law.trits, (1 << width) - 1
-    stacked = []
-    for j in range(w):
-        nz = sg = 0
-        for a, b in reversed(cols[j::w]):
-            nz = (nz << width) | (a & keep)
-            sg = (sg << width) | (b & keep)
-        stacked.append((nz, sg))
-    return law.place(_Planes.identity, stacked)
-
-
-def _gather(steps, law, stride, width):
-    """`_stack` for a law whose width w does not divide the stride, read
-    from the draw's bytes `steps` (slot i at index -1 - i of each).
-
-    Its trials tile the period lcm(w, stride) of k = period / stride
-    lanes, r = period / w trials, and group g of period V is trial
-    r*V + g.  Its trit j is draw (g*w + j) % stride of lane
-    V*k + (g*w + j) // stride.  A group holds `width` periods; lanes past
-    the draw read as zero trits.
-    """
-    w = law.trits
-    k = lcm(w, stride) // stride
-    span = k * width
-    # lane i at index i, zero trits up to the last lane read
-    pad = bytes(max(0, span - len(steps[0])))
-    rows = [digits[::-1] + pad for digits in steps]
-    # trit o*stride + d of every period: draw d of its lane o
-    trits = [row[o:o + span:k] for o in range(k) for row in rows]
-    stacked = []
-    for j in range(w):
-        digits = b"".join(trits[j::w])[::-1]
-        stacked.append((int(digits.translate(_NZ_DIGIT), 2),
-                        int(digits.translate(_SG_DIGIT), 2)))
-    return law.place(_Planes.identity, stacked)
-
-
-def _first_failure(bad, groups, width, start):
-    """(trial, bit) of the least failing trial among stacked groups."""
-    keep = (1 << width) - 1
-    first = None
-    for g in range(groups):
-        part = (bad >> (g * width)) & keep
-        if part:
-            lane = (part & -part).bit_length() - 1
-            here = (groups * (start + lane) + g, g * width + lane)
-            first = here if first is None else min(first, here)
-    return first
+def head_reach(laws, trials, stride):
+    """Per draw j of a lane, the lanes of a pass, counted from lane 0, up
+    to the last whose draw j some trial of `laws` within `trials` places
+    on a head coordinate (`Law.heads`)."""
+    out = [0] * stride
+    # laws of the same draws read the same trits
+    for law in {law.draws: law for law in laws}.values():
+        # trial t's trits are draws t*w + o of the pass; the trial `cycle`
+        # trials before it has them on the same draws of earlier lanes
+        w, heads = law.trits, law.heads
+        cycle = lcm(w, stride) // w
+        for t in range(max(0, trials - cycle), trials):
+            for o in heads:
+                lane, j = divmod(t * w + o, stride)
+                if out[j] <= lane:
+                    out[j] = lane + 1
+    return out
 
 
 class LoopKernel(_native.LoopKernel):
@@ -442,46 +403,48 @@ class LoopKernel(_native.LoopKernel):
         `_native.LoopKernel.sweep` returns, keyed by name."""
         names = tuple(names)
         _check_sweep(names, seed, trials)
-        widest = max(LAWS[name].trits for name in names)
+        laws = [(name, LAWS[name]) for name in names]
+        widest = max(law.trits for _, law in laws)
         stride = lane_stride(widest, trials)
-        # per law: the lanes k and groups r of its period lcm(w, stride);
-        # k > 1 needs a stride below BLOCK, so a pass of one chunk
-        laws = []
-        for name in names:
-            law = LAWS[name]
-            period = lcm(law.trits, stride)
-            laws.append((name, law, period // stride, period // law.trits))
-        gathered = any(k > 1 for _, _, k, _ in laws)
-        lanes_needed = -(-widest * trials // stride)
+        needed = head_reach([law for _, law in laws], trials, stride)
+        tables = _jump_tables(stride)
         found = {name: [0, -1, None] for name in names}
-        state = seed
-        for start in range(0, lanes_needed, CHUNK):
-            lanes = min(CHUNK, lanes_needed - start)
-            cols, state, steps = draw_columns(state, lanes, stride, gathered)
+        state, total = seed, -(-widest * trials // stride)
+        for start in range(0, total, CHUNK):
+            starts = []
+            for _ in range(min(CHUNK, total - start)):
+                starts.append(state)
+                state = _jump(tables, state)
+            lanes = len(starts)
+            data = draw_lanes(starts, stride,
+                        [min(lanes, max(0, r - start)) for r in needed])
             drawn = {}
-            for name, law, k, r in laws:
-                # periods of this chunk whose group-g trial is in the budget
-                counts = [min(lanes, -(-(trials - g) // r) - start)
-                          for g in range(r)]
-                width = counts[0]
-                if width <= 0:
+            for name, law in laws:
+                # the chunk holds whole trials: its first is at draw
+                # start * stride, and each trial gets a lane of its own
+                w = law.trits
+                first = start * stride // w
+                n = min(trials - first, lanes * stride // w)
+                if n <= 0:
                     continue
-                # laws of the same draws have the same r, so the same width
                 if law.draws not in drawn:
-                    xs = (_gather(steps, law, stride, width) if k > 1
-                          else _stack(cols, law, width))
-                    ones = (1 << (r * width)) - 1
-                    drawn[law.draws] = xs, _Planes(self._f, self._h, ones, xs)
+                    heads = law.heads
+                    cols = [_column(data, j, w, n) if j in heads else _ZERO
+                            for j in range(w)]
+                    xs = law.place(_Planes.identity, cols)
+                    drawn[law.draws] = xs, _Planes(self._f, self._h,
+                                                   (1 << n) - 1, xs)
                 xs, p = drawn[law.draws]
-                mask = 0
-                for g, n in enumerate(counts):
-                    if n > 0:
-                        mask |= ((1 << n) - 1) << (g * width)
-                bad = _differ(law.lhs(p, *xs), law.rhs(p, *xs)) & mask
+                bad = _differ(law.lhs(p, *xs), law.rhs(p, *xs))
                 if bad:
                     entry = found[name]
                     entry[0] += bad.bit_count()
                     if entry[1] < 0:
-                        entry[1], bit = _first_failure(bad, r, width, start)
-                        entry[2] = tuple(lane_trits(x, bit) for x in xs)
+                        # redraw the least failing trial from its lane's
+                        # start, tail trits included
+                        trial = first + (bad & -bad).bit_length() - 1
+                        lane, at = divmod(trial * w, stride)
+                        trits = _trits(starts[lane - start], at + w)[0][at:]
+                        entry[1] = trial
+                        entry[2] = tuple(law.place(self.identity, trits))
         return {name: tuple(found[name]) for name in names}

@@ -31,9 +31,14 @@ STREAM = "tests/test_batch_parity.py::test_lane_split_stream_matches_reference"
 CHUNKS = ("tests/test_one_draw.py::"
           "test_one_and_two_lane_chunks_match_reference")
 LATER_GROUP = "tests/test_one_draw.py::test_first_failure_in_a_later_group"
-GATE_TAIL = ("tests/test_shared_sweeps.py::"
-             "test_gate_tail_sweep_matches_reference")
+LATER_CHUNK = "tests/test_batch_parity.py::test_first_failure_in_a_later_chunk"
 STRIDE_RULE = "tests/test_batch_parity.py::test_lane_stride_rule"
+REACH = ("tests/test_batch_parity.py::"
+         "test_head_reach_is_the_last_lane_of_a_head_trit")
+HEADS = ("tests/test_law_oracle.py::"
+         "test_head_offsets_are_the_trits_placed_on_heads")
+JUMPS = ("tests/test_shared_sweeps.py::"
+         "test_packed_jump_tables_match_scalar_construction")
 
 
 class Mutant(NamedTuple):
@@ -46,51 +51,49 @@ class Mutant(NamedTuple):
 
 
 KERNEL = "src/moufang3/kernel.py"
+NATIVE = "src/moufang3/_native.py"
 
 MUTANTS = [
-    Mutant("kernel-1", "_stack stacks the groups in reverse", KERNEL,
-           "for a, b in reversed(cols[j::w]):",
-           "for a, b in cols[j::w]:", (CHUNKS,)),
-    Mutant("kernel-2", "_stack does not cut a group's column to the width",
+    Mutant("kernel-1", "a head offset is allowed at index HEAD, coordinate 11",
+           NATIVE,
+           "range(end - w, end - N + HEAD))",
+           "range(end - w, end - N + HEAD + 1))", (HEADS,)),
+    Mutant("kernel-2", "a step's lane count is one lane short", KERNEL,
+           "out[j] = lane + 1", "out[j] = lane", (REACH, CHUNKS)),
+    Mutant("kernel-3", "a step reached by a prefix of lanes is skipped",
            KERNEL,
-           "            nz = (nz << width) | (a & keep)\n"
-           "            sg = (sg << width) | (b & keep)\n",
-           "            nz = (nz << width) | a\n"
-           "            sg = (sg << width) | b\n", (CHUNKS,)),
-    Mutant("kernel-3", "the witness is read from the group-0 bit", KERNEL,
-           "here = (groups * (start + lane) + g, g * width + lane)",
-           "here = (groups * (start + lane) + g, lane)", (CHUNKS,)),
-    Mutant("kernel-4", "a group's lane count rounds down", KERNEL,
-           "counts = [min(lanes, -(-(trials - g) // r) - start)",
-           "counts = [min(lanes, (trials - g) // r - start)", (CHUNKS,)),
+           "            s = _advance(s, masks)\n            if count:\n",
+           "            s = _advance(s, masks)\n"
+           "            if count == lanes:\n", (CHUNKS,)),
+    Mutant("kernel-4", "the witness is redrawn from the next lane", KERNEL,
+           "_trits(starts[lane - start], at + w)",
+           "_trits(starts[lane - start + 1], at + w)", (LATER_GROUP,)),
     Mutant("kernel-5", "_advance keeps the bits its left shift carries into "
            "the next lane", KERNEL,
            "s ^= (s << 25) & m25", "s ^= s << 25", (STREAM,)),
-    Mutant("kernel-6", "the budget mask misses the group shift", KERNEL,
-           "mask |= ((1 << n) - 1) << (g * width)",
-           "mask |= (1 << n) - 1", (CHUNKS,)),
-    Mutant("kernel-7", "the first failing group is kept, not the least "
-           "failing trial", KERNEL,
-           "first = here if first is None else min(first, here)",
-           "first = here if first is None else first", (LATER_GROUP,)),
+    Mutant("kernel-6", "the witness is redrawn one trit off", KERNEL,
+           "lane, at = divmod(trial * w, stride)",
+           "lane, at = divmod(trial * w + 1, stride)", (LATER_GROUP,)),
+    Mutant("kernel-7", "a later chunk's first trial is off by one", KERNEL,
+           "first = start * stride // w",
+           "first = start * stride // w + (start > 0)", (LATER_CHUNK,)),
     Mutant("kernel-8", "plane_add's sign plane uses | for &", KERNEL,
            "return (a0 ^ b0) | (a0 ^ a1 ^ b1), (a0 ^ b1) & (a1 ^ b0)",
            "return (a0 ^ b0) | (a0 ^ a1 ^ b1), (a0 ^ b1) | (a1 ^ b0)",
            ("tests/test_batch_parity.py::test_plane_arithmetic_matches_gf3",
             CHUNKS)),
-    Mutant("kernel-9", "the gather steps by a period's trials, not its "
-           "lanes", KERNEL,
-           "k = lcm(w, stride) // stride", "k = lcm(w, stride) // w",
-           (GATE_TAIL,)),
+    Mutant("kernel-9", "a column is read at stride w - 1", KERNEL,
+           "data[j + (n - 1) * w::-w]", "data[j + (n - 1) * w::1 - w]",
+           (CHUNKS,)),
     Mutant("kernel-10", "the batched output shifts each step a byte too far",
            KERNEL,
            "acc |= p >> 8 * (7 - j)", "acc |= p >> 8 * (8 - j)", (STREAM,)),
     Mutant("kernel-11", "a short last output batch is dropped", KERNEL,
            "for batch in range(0, stride, 8):",
            "for batch in range(0, stride - 7, 8):", (STREAM,)),
-    Mutant("kernel-12", "the gather drops a trit's lane offset in its "
-           "period", KERNEL,
-           "row[o:o + span:k]", "row[0:span:k]", (GATE_TAIL,)),
+    Mutant("kernel-12", "the jump tables are one step short", KERNEL,
+           "    for _ in range(stride):\n",
+           "    for _ in range(stride - 1):\n", (JUMPS,)),
     Mutant("kernel-13", "the stride rule takes m one too large", KERNEL,
            "            return stride\n",
            "            return stride + UNIT\n", (STRIDE_RULE,)),
@@ -102,6 +105,10 @@ MUTANTS = [
     Mutant("kernel-16", "products are shared by their left factor alone",
            KERNEL,
            "key = id(x), id(y)", "key = id(x), id(x)", (CHUNKS,)),
+    Mutant("kernel-17", "the reach scans one trial of a cycle too few",
+           KERNEL,
+           "range(max(0, trials - cycle), trials)",
+           "range(max(0, trials - cycle + 1), trials)", (REACH, CHUNKS)),
 ]
 
 

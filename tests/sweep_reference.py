@@ -1,7 +1,8 @@
 """The scalar reference of the batched sweeps: one pass of
 `_native.LoopKernel.verdicts` to the largest budget, read off per budget;
-the batched pass's layout written out again; and the tables, seeds and
-jump tables the sweep tests share."""
+the batched pass's layout written out again (lanes of S trits drawn per
+chunk, one evaluation lane per trial, head trits only); and the tables,
+seeds and jump tables the sweep tests share."""
 
 from itertools import islice
 from math import lcm
@@ -37,15 +38,32 @@ def lanes(trials, chunk, names=NAMES):
 
 
 def groups(name, s):
-    """A law's trials per period lcm(w, s) of lanes of s trits: group g of
-    period V is trial groups * V + g."""
+    """A law's trials per period lcm(w, s) of lanes of s trits: trial
+    groups * V + g is the g-th of period V, and its draw starts at trit
+    (g * w) % s of its lane, which the witness is redrawn from."""
     return lcm(TRITS[name], s) // TRITS[name]
 
 
 def chunk_of(name, trial, trials, chunk, names=NAMES):
-    """The chunk that draws the last trit of a law's trial in a pass."""
+    """The chunk that holds a law's trial in a pass; every chunk holds
+    whole trials of every law, so this is where its last trit is too."""
     s = stride(trials, chunk, names)
-    return (TRITS[name] * (trial + 1) - 1) // s // chunk
+    return TRITS[name] * trial // s // chunk
+
+
+def chunk_trials(name, index, trials, chunk, names=NAMES):
+    """The trials of a law that chunk `index` of a pass holds, each
+    evaluated in a lane of its own."""
+    per_chunk = stride(trials, chunk, names) * chunk // TRITS[name]
+    return range(min(trials, index * per_chunk),
+                 min(trials, (index + 1) * per_chunk))
+
+
+def head_offsets(name):
+    """The offsets in a law's trial of the trits placed on head
+    coordinates 1..10: 0..9 of each of its elements, none of a tail."""
+    elements = TRITS[name] // 19
+    return {19 * e + o for e in range(elements) for o in range(10)}
 
 
 def flat_tables(mutation=None):
@@ -118,12 +136,30 @@ def check_budgets(flat, seed, trials_list, names=NAMES):
 
 
 def spy_draws(monkeypatch):
-    """The (lanes, stride) of each `kernel.draw_columns` call from now on."""
-    draw_columns, calls = kernel.draw_columns, []
+    """The (lanes, stride, reach) of each `kernel.draw_lanes` call from now
+    on: reach[j] is the count of leading lanes whose step j it computes."""
+    draw_lanes, calls = kernel.draw_lanes, []
 
-    def spy(state, lanes, stride, keep_steps=False):
-        calls.append((lanes, stride))
-        return draw_columns(state, lanes, stride, keep_steps)
+    def spy(starts, stride, reach):
+        calls.append((len(starts), stride, tuple(reach)))
+        return draw_lanes(starts, stride, reach)
 
-    monkeypatch.setattr(kernel, "draw_columns", spy)
+    monkeypatch.setattr(kernel, "draw_lanes", spy)
     return calls
+
+
+def shapes(draws):
+    """The (lanes, stride) of each spied draw."""
+    return [(lanes, s) for lanes, s, _ in draws]
+
+
+def prefix_steps(draws):
+    """Whether some spied draw computes a step for some lanes, not all."""
+    return any(0 < c < lanes for lanes, _, reach in draws for c in reach)
+
+
+def skipped(draws, position, chunk):
+    """Whether draw `position` of a pass of the spied draws was left
+    uncomputed by its chunk's draw."""
+    index, lane = divmod(position // draws[0][1], chunk)
+    return lane >= draws[index][2][position % draws[0][1]]

@@ -1,11 +1,10 @@
 """The batched sweeps must agree bit for bit with the scalar reference.
 
-`kernel.LoopKernel.sweep` runs up to CHUNK lanes per pass on bit planes,
-each lane of S trits holding S / w trials of a law of w trits, or a
-period of lcm(w, S) / S lanes holding lcm(w, S) / w; `_native` runs one
-trial at a time and is the reference,
-computed once per table, law and seed up to the largest budget and read off
-per budget.  Both are pure Python, so these tests always run.
+`kernel.LoopKernel.sweep` draws up to CHUNK lanes of S trits per pass and
+evaluates each trial of a law in a bit-plane lane of its own; `_native`
+runs one trial at a time and is the reference, computed once per table,
+law and seed up to the largest budget and read off per budget.  Both are
+pure Python, so these tests always run.
 """
 
 from functools import lru_cache
@@ -14,11 +13,13 @@ from itertools import islice, product
 import pytest
 
 from moufang3 import _native, kernel
+from moufang3._native import LAWS
 from moufang3.kernel import PolyEvaluator
 
 from sweep_reference import (BLOCK, NAMES, SEEDS, TRITS, UNIT, chunk_of,
-                             flat_tables, groups, lanes, reference,
-                             sparse_table, spy_draws, stride)
+                             flat_tables, groups, head_offsets, lanes,
+                             reference, shapes, sparse_table, spy_draws,
+                             stride)
 from test_acceptance import MUTATIONS
 
 CHUNK = kernel.CHUNK
@@ -77,7 +78,7 @@ def test_constant_monomials_match_reference(monkeypatch, name):
     trials = groups(name, BLOCK) * kernel.CHUNK + 1
     draws = spy_draws(monkeypatch)
     assert fast.sweep(name, 42, trials) == ref.sweep(name, 42, trials)
-    assert draws == [(2, BLOCK), (1, BLOCK)]
+    assert shapes(draws) == [(2, BLOCK), (1, BLOCK)]
 
 
 def test_unreduced_coefficients_read_as_their_residues():
@@ -136,35 +137,55 @@ LANE_SPLITS = [(1, 1), (7, 3), (CHUNK, 1), (72, 84), (5, 84),
 @lru_cache(maxsize=None)
 def stream(seed):
     """The reference stream's trits from `seed`, as bytes, up to the largest
-    LANE_SPLITS case, and the state after each case's trits."""
+    LANE_SPLITS case, and the state before each of its elements."""
     ref = _native.LoopKernel([[]] * 19, [[]] * 19)
-    ends = {lanes * per_lane for lanes, per_lane in LANE_SPLITS}
-    state, trits, after = seed, bytearray(), {}
-    for count in range(1, max(ends) + 1):
+    end = max(lanes * per_lane for lanes, per_lane in LANE_SPLITS)
+    state, trits, states = seed, bytearray(), []
+    for _ in range(end):
+        states.append(state)
         x, state = ref.random_element(state)
         trits += bytes(x)
-        if count in ends:
-            after[19 * count] = state
-    return bytes(trits), after
+    return bytes(trits), states
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("lanes,per_lane", LANE_SPLITS)
 def test_lane_split_stream_matches_reference(seed, lanes, per_lane):
-    # column c holds trit c of every lane, lane i at bit i
+    # byte L*S + j of the draw is lane L's draw j, which is trit L*S + j of
+    # the stream, where step j is computed for the first reach[j] lanes:
+    # all, most, one or none of them, and none for the whole third batch
+    # of eight steps
     stride = 19 * per_lane
-    trits, after = stream(seed)
-    want = []
-    for c in range(stride):
-        column = trits[c:lanes * stride:stride][::-1]
-        want.append((int(column.translate(b"011" + bytes(253)), 2),
-                     int(column.translate(b"001" + bytes(253)), 2)))
-    cols, state, steps = kernel.draw_columns(seed, lanes, stride)
-    assert (cols, state, steps) == (want, after[lanes * stride], None)
-    # the kept draw bytes read the same trits, lane i at index -1 - i
-    steps = kernel.draw_columns(seed, lanes, stride, True)[2]
-    assert [(int(d.translate(kernel._NZ_DIGIT), 2),
-             int(d.translate(kernel._SG_DIGIT), 2)) for d in steps] == want
+    trits, states = stream(seed)
+    starts = states[:lanes * per_lane:per_lane]
+    reach = [0 if j // 8 == 2 else (lanes, lanes - lanes // 3, 1, 0)[j % 4]
+             for j in range(stride)]
+    data = kernel.draw_lanes(starts, stride, reach)
+    want = bytearray(lanes * stride)
+    for j, count in enumerate(reach):
+        want[j:j + count * stride:stride] = trits[j:j + count * stride:stride]
+    assert data.translate(bytes(v % 3 for v in range(256))) == want
+
+
+@pytest.mark.parametrize("names,trials,s", [
+    (NAMES, 2000, UNIT), (NAMES, 57, BLOCK), (NAMES, 0, UNIT),
+    (("tail_central",), 200, UNIT), (("moufang",), 1, UNIT),
+    (("inverse", "tail_central", "flexible"), 301, 3 * UNIT)])
+def test_head_reach_is_the_last_lane_of_a_head_trit(names, trials, s):
+    # per step j, the lanes up to the last whose draw j is a head trit of
+    # a trial within the budget, written out draw by draw
+    want = [0] * s
+    for name in names:
+        w, heads = TRITS[name], head_offsets(name)
+        for p in range(trials * w):
+            if p % w in heads:
+                want[p % s] = max(want[p % s], p // s + 1)
+    assert kernel.head_reach([LAWS[n] for n in names], trials, s) == want
+    # a 2000-trial pass computes 60 of its 114 steps for all 1000 lanes,
+    # and tail_central's x heads keep the other 54 for a prefix of them
+    if trials == 2000:
+        assert want.count(1000) == 60
+        assert sum(0 < r < 1000 for r in want) == 54
 
 
 @pytest.mark.parametrize("chunk", [1, 64, CHUNK])
@@ -199,7 +220,8 @@ def test_plane_arithmetic_matches_gf3():
         return nz, sg
 
     def trits(pair):
-        return [kernel.lane_trits([pair], i)[0] for i in range(len(pairs))]
+        nz, sg = pair
+        return [(nz >> i & 1) + (sg >> i & 1) for i in range(len(pairs))]
 
     a = planes([x for x, _ in pairs])
     b = planes([y for _, y in pairs])

@@ -6,11 +6,16 @@ each law is written out again as a scalar predicate over the kernel's
 `mul`/`inv`, with its own draw order and its own xorshift-star stream,
 none of it read from the table; `_native.LoopKernel.sweep` must report
 exactly what a sweep of these predicates reports.
+
+`kernel` evaluates the laws on head trits only, which is sound while the
+tails cancel from every law (see its docstring); the last tests here check
+that on zero tables, where both sides are linear.
 """
 
 import pytest
 
 from moufang3 import _native
+from moufang3._native import HEAD, IDENTITY_LAW, LAWS, N, Law
 
 from sweep_reference import SEEDS, flat_tables
 from test_acceptance import MUTATIONS
@@ -114,3 +119,42 @@ def test_oracle_sees_a_corrupted_table():
     for name in ("moufang", "left_alternative", "right_alternative",
                  "flexible", "inverse"):
         assert oracle_sweep(kernel, name, 42, max(BUDGETS))[0] > 0, name
+
+
+def tails_cancel(law):
+    """Whether lhs = rhs holds on zero f and h tables, where the product is
+    the sum and the inverse the negative, at every input with one trit 1
+    on a tail coordinate and every other trit 0.  Both sides are linear
+    there, so that is every input with zero heads; with the tables
+    reading heads only, a tail then enters lhs and rhs alike."""
+    zero = _native.LoopKernel([[]] * N, [[]] * N)
+    for o in range(law.trits):
+        flat = [0] * law.trits
+        flat[o] = 1
+        drawn = law.place(zero.identity, flat)
+        if any(x[:HEAD] != (0,) * HEAD for x in drawn):
+            continue
+        if law.lhs(zero, *drawn) != law.rhs(zero, *drawn):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", list(LAWS) + ["identity"])
+def test_tails_cancel_from_every_law(name):
+    assert tails_cancel(LAWS.get(name, IDENTITY_LAW))
+
+
+def test_tail_check_sees_an_unbalanced_law():
+    # x*y = y: x's tail stays on the left only
+    law = Law("x*y = y", (N, N), lambda k, x, y: k.mul(x, y),
+              lambda k, x, y: y)
+    assert not tails_cancel(law)
+
+
+@pytest.mark.parametrize("draws,heads", [
+    ((19,), range(10)),
+    ((19, 19), [*range(10), *range(19, 29)]),
+    ((19, 19, 19), [*range(10), *range(19, 29), *range(38, 48)]),
+    ((19, 9), range(10))])
+def test_head_offsets_are_the_trits_placed_on_heads(draws, heads):
+    assert Law("", draws, None, None).heads == tuple(heads)

@@ -3,11 +3,9 @@
 `_poly` starts each monomial from its first factor's planes instead of from
 the lane mask, which is right only while every plane keeps its sign bits
 within its nonzero bits within the lane mask.  These tests hold `_poly` to
-a scalar evaluation, and the draw, `_stack` and `_gather`, which make the
-planes the sweeps evaluate, to that invariant.
+a scalar evaluation, and the planes the sweeps evaluate to that invariant:
+each law's columns, stacked one trial a lane and gathered from the draw.
 """
-
-from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -64,7 +62,8 @@ def test_poly_matches_scalar_evaluation(case):
     ones = (1 << LANES) - 1
     got = kernel._poly(planes(acc), terms, [planes(v) for v in values], ones)
     assert valid([got], LANES)
-    assert [kernel.lane_trits([got], i)[0] for i in range(LANES)] == [
+    nz, sg = got
+    assert [(nz >> i & 1) + (sg >> i & 1) for i in range(LANES)] == [
         scalar(acc[i], terms, [v[i] for v in values]) for i in range(LANES)]
 
 
@@ -72,17 +71,16 @@ def test_poly_matches_scalar_evaluation(case):
                                           (5, 342), (3, 1596)])
 def test_draw_stack_and_gather_keep_sign_within_nonzero_within_lanes(
         lanes, stride):
-    cols, _, steps = kernel.draw_columns(42, lanes, stride, True)
-    assert len(cols) == len(steps) == stride
-    assert valid(cols, lanes)
+    # every step drawn for every lane, so no column reads an undrawn zero
+    starts, tables = [42], kernel._jump_tables(stride)
+    while len(starts) < lanes:
+        starts.append(kernel._jump(tables, starts[-1]))
+    data = kernel.draw_lanes(starts, stride, [lanes] * stride)
     for name, law in LAWS.items():
-        period = lcm(law.trits, stride)
-        k, r = period // stride, period // law.trits
-        # the periods the draw covers, one fewer, and one more than it has
-        full = -(-lanes // k)
-        for width in {max(1, full - 1), full, full + 1}:
-            if k == 1:
-                xs = kernel._stack(cols, law, width)
-            else:
-                xs = kernel._gather(steps, law, stride, width)
-            assert all(valid(x, r * width) for x in xs), (name, width)
+        w = law.trits
+        # all the trials the draw holds, one fewer, and a single one
+        for n in {lanes * stride // w, lanes * stride // w - 1, 1}:
+            cols = [kernel._column(data, j, w, n) for j in range(w)]
+            assert valid(cols, n) and any(nz >> (n - 1) for nz, _ in cols)
+            xs = law.place(kernel._Planes.identity, cols)
+            assert all(valid(x, n) for x in xs), (name, n)

@@ -2,8 +2,8 @@
 result.
 
 `kernel.LoopKernel.sweep_many` draws the stream once, one block of S
-trits per lane, and evaluates the six laws on it; `_native` runs one law at a
-time and is the reference.  The reference for a budget of T trials is
+trits per lane, and evaluates the six laws on it, one lane per trial;
+`_native` runs one law at a time and is the reference.  The reference for a budget of T trials is
 read off the law's first T `_native` verdicts (`sweep_reference`), so
 every budget up to the largest costs one scalar pass.  Most cases lower
 CHUNK to SMALL_CHUNK, which keeps budgets of more than one chunk of lanes
@@ -23,9 +23,10 @@ from moufang3 import _native, cli, kernel, sweeps
 from moufang3.loop import Loop
 
 from sweep_reference import (BLOCK, NAMES, SEEDS, UNIT, check_budgets,
-                             chunk_of, flat_tables, groups, head_table, lanes,
-                             scalar_jump_tables, sparse_table, spy_draws,
-                             stride)
+                             chunk_of, chunk_trials, flat_tables, groups,
+                             head_table, lanes, prefix_steps,
+                             scalar_jump_tables, shapes, sparse_table,
+                             spy_draws, stride)
 from test_acceptance import MUTATIONS, mutated_tables
 
 SMALL_CHUNK = 2
@@ -75,7 +76,8 @@ def test_first_stride_step_matches_reference(monkeypatch, table):
     flat = flat_tables() if table == "shipped" else head_table(6)
     draws = spy_draws(monkeypatch)
     check_budgets(flat, 42, (4096, 4097))
-    assert draws == [(kernel.CHUNK, UNIT), (kernel.CHUNK // 2 + 1, 2 * UNIT)]
+    assert shapes(draws) == [(kernel.CHUNK, UNIT),
+                             (kernel.CHUNK // 2 + 1, 2 * UNIT)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -85,8 +87,8 @@ def test_last_stride_step_matches_reference(monkeypatch, seed):
     monkeypatch.setattr(kernel, "CHUNK", 2)
     draws = spy_draws(monkeypatch)
     check_budgets(head_table(6), seed, (52, 53, 56, 57))
-    assert draws == [(2, 13 * UNIT), (2, BLOCK), (2, BLOCK), (2, BLOCK),
-                     (1, BLOCK)]
+    assert shapes(draws) == [(2, 13 * UNIT), (2, BLOCK), (2, BLOCK),
+                             (2, BLOCK), (1, BLOCK)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -110,7 +112,16 @@ def test_shared_pass_crosses_the_real_chunk(monkeypatch):
     trials = groups("moufang", BLOCK) * (kernel.CHUNK + 64)
     assert lanes(trials, kernel.CHUNK) == kernel.CHUNK + 64
     assert lanes(trials, 2 * kernel.CHUNK) <= 2 * kernel.CHUNK
+    draws = spy_draws(monkeypatch)
     two_chunks = fast.sweep_many(NAMES, 42, trials)
+    # tail_central's budget ends inside the first chunk, whose draw then
+    # computes its tail steps for a prefix of the lanes, and the second
+    # holds no tail_central trial
+    tails = [chunk_trials("tail_central", c, trials, kernel.CHUNK)
+             for c in range(2)]
+    assert 0 < len(tails[0]) < BLOCK * kernel.CHUNK // 28
+    assert len(tails[1]) == 0
+    assert len(draws) == 2 and prefix_steps(draws[:1])
     monkeypatch.setattr(kernel, "CHUNK", 2 * kernel.CHUNK)
     assert fast.sweep_many(NAMES, 42, trials) == two_chunks
 
@@ -137,7 +148,7 @@ def test_constant_monomials_match_reference(monkeypatch):
 
 
 # every stride `kernel.lane_stride` picks, 114 * m, and every divisor of
-# BLOCK, which covers the odd strides the even ones halve down to
+# BLOCK, the short strides among them
 @pytest.mark.parametrize("stride", sorted(
     {UNIT * m for m in range(1, 15)}
     | {d for d in range(1, BLOCK + 1) if BLOCK % d == 0}))

@@ -2,7 +2,7 @@
 
 `_native._check_sweep` is the one check of a sweep's names, seed and trial
 count.  Each entry point must make it before it draws anything, so the
-stream's first step (`_native._trits`, `kernel.draw_columns`) is replaced by
+stream's first step (`_native._trits`, `kernel.draw_lanes`) is replaced by
 a function that fails the test.  Entry points of one name take the cases of
 one name; `verdicts` has no trial count and takes no trial-count case.
 """
@@ -75,7 +75,7 @@ def no_draw(*args):
 def test_bad_sweep_arguments_rejected_before_any_draw(monkeypatch, target,
                                                       case):
     monkeypatch.setattr(_native, "_trits", no_draw)
-    monkeypatch.setattr(kernel, "draw_columns", no_draw)
+    monkeypatch.setattr(kernel, "draw_lanes", no_draw)
     call = TARGETS[target][0]
     names, seed, trials, message = CASES[case]
     with pytest.raises(ValueError, match=message):

@@ -301,8 +301,8 @@ def _jump_tables(stride):
 def draw_lanes(starts, stride, reach):
     """The draws of lanes of `stride` trits from the states `starts`, in
     stream order: byte L*stride + j is the nibble sum of lane L's draw j,
-    which is its trit mod 3, for the first reach[j] lanes, and 0 for the
-    others.  A step that no lane needs only advances the state.
+    whose residue mod 3 is its trit, for the first reach[j] lanes, and 0
+    for the others.  A step that no lane needs only advances the state.
     """
     lanes = len(starts)
     s, masks = _packed(starts), _step_masks(lanes)

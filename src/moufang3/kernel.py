@@ -407,11 +407,10 @@ class LoopKernel(_native.LoopKernel):
         widest = max(law.trits for _, law in laws)
         stride = lane_stride(widest, trials)
         needed = head_reach([law for _, law in laws], trials, stride)
-        tables = _jump_tables(stride)
         found = {name: [0, -1, None] for name in names}
         state, total = seed, -(-widest * trials // stride)
         for start in range(0, total, CHUNK):
-            starts = []
+            tables, starts = _jump_tables(stride), []
             for _ in range(min(CHUNK, total - start)):
                 starts.append(state)
                 state = _jump(tables, state)

@@ -54,7 +54,8 @@ def test_one_and_two_lane_chunks_match_reference(monkeypatch, table, seed):
                  for t in BUDGETS for c in range(-(-lanes(t, chunk) // chunk))
                  if stride(t, chunk) == BLOCK]
         assert 0 in tails
-        assert any(0 < n < BLOCK * chunk // 28 for n in tails)
+        assert any(0 < n < BLOCK * chunk // TRITS["tail_central"]
+                   for n in tails)
 
 
 @pytest.mark.parametrize("name,flat,seed,trials", [

@@ -3,11 +3,12 @@ result.
 
 `kernel.LoopKernel.sweep_many` draws the stream once, one block of S
 trits per lane, and evaluates the six laws on it, one lane per trial;
-`_native` runs one law at a time and is the reference.  The reference for a budget of T trials is
-read off the law's first T `_native` verdicts (`sweep_reference`), so
-every budget up to the largest costs one scalar pass.  Most cases lower
-CHUNK to SMALL_CHUNK, which keeps budgets of more than one chunk of lanes
-cheap for the scalar reference; one mutated table runs at the real CHUNK.
+`_native` runs one law at a time and is the reference.  The reference for
+a budget of T trials is read off the law's first T `_native` verdicts
+(`sweep_reference`), so every budget up to the largest costs one scalar
+pass.  Most cases lower CHUNK to SMALL_CHUNK, which keeps budgets of more
+than one chunk of lanes cheap for the scalar reference; one mutated table
+runs at the real CHUNK.
 The shared pass must also give `run_all`, `run_sweep` and the `verify`
 report what separate sweeps give.
 """

@@ -4,6 +4,17 @@ Also the pure-Python scalar kernel and the table of swept laws.
 
 `LoopKernel` evaluates one product, inverse or draw at a time; it is the
 reference that `moufang3.kernel`'s bit-sliced sweeps are tested against.
+Its product and inverse are compiled, one function per coordinate:
+coordinate k of `mul` is `lambda x, y: (x[k] + y[k] + <terms>) % 3` and of
+`inv` `lambda x: (-x[k] + <terms>) % 3`, a code c below HEAD read as
+`x[c]` and any other as `y[c - HEAD]`.  A kernel compiles them on its
+first product or inverse, so building one compiles nothing, and takes each
+from a module cache keyed by (kind, k, terms) that keeps the CACHE_SIZE
+most recently used: a table that differs from a cached one in one
+coordinate compiles that coordinate alone.  The source is written only
+from the exact ints `flat_terms` makes with `operator.index`, each
+formatted by %d, so no table text and no `__str__` or `__format__` of an
+int subclass reaches `compile`.
 Its one per-trial primitive is `verdicts`, an endless stream of a law's
 outcomes trial by trial; `sweep` is the fold of its first `trials` items.
 It trusts its inputs: elements are N-tuples of GF(3) residues, checked
@@ -21,7 +32,9 @@ evaluates and counts such systems.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate, islice
+from operator import index
 from typing import Callable, NamedTuple
 
 from .errors import ZeroSeed
@@ -133,16 +146,57 @@ def flat_terms(flat, n, prefix=""):
     """Per polynomial a tuple of (coeff, codes) terms, coeff in {1, 2} and
     codes in range(n), a code repeated for a square.
 
-    The codes are checked first, so a zero term with a bad code is refused
-    too; then coefficients are reduced mod 3 and zero terms dropped.
+    Every coefficient and code becomes an exact int first, by
+    `operator.index`, so a float or a str is refused; then the codes are
+    range-checked, so a zero term with a bad code is refused too; then
+    coefficients are reduced mod 3 and zero terms dropped.
     """
     out = []
     for terms in flat:
+        try:
+            terms = [(index(coeff), tuple(map(index, codes)))
+                     for coeff, codes in terms]
+        except TypeError as e:
+            raise ValueError(f"{prefix}term: {e}") from None
         if any(not 0 <= c < n for _, codes in terms for c in codes):
             raise ValueError(prefix + "factor code out of range")
-        out.append(tuple((coeff % 3, tuple(codes)) for coeff, codes in terms
+        out.append(tuple((coeff % 3, codes) for coeff, codes in terms
                          if coeff % 3))
     return out
+
+
+def _factor(c):
+    return "x[%d]" % c if c < HEAD else "y[%d]" % (c - HEAD)
+
+
+def _source(kind, k, terms):
+    """Source of coordinate k of the product (kind "mul") or of the raw
+    inverse ("inv"), one `flat_terms` term a summand; every number in it
+    is formatted by %d."""
+    if kind == "mul":
+        head = "lambda x, y: (x[%d] + y[%d]" % (k, k)
+    else:
+        head = "lambda x: (-x[%d]" % k
+    return head + "".join(
+        " + " + "*".join(["%d" % coeff] + [_factor(c) for c in codes])
+        for coeff, codes in terms) + ") % 3"
+
+
+CACHE_SIZE = 128
+_COMPILED = {}  # (kind, k, terms) -> function, least recently used first
+
+
+def _coordinate(kind, k, terms):
+    """The compiled coordinate k of `kind` (see `_source`), from the cache."""
+    key = kind, k, terms
+    fn = _COMPILED.pop(key, None)
+    if fn is None:
+        code = compile(_source(kind, k, terms), f"<{kind} {k + 1}>", "eval")
+        fn = eval(code, {"__builtins__": {}})
+        if len(_COMPILED) >= CACHE_SIZE:
+            del _COMPILED[next(iter(_COMPILED))]
+    _COMPILED[key] = fn
+    return fn
 
 
 def vec_add(x, y):
@@ -172,35 +226,24 @@ class LoopKernel:
         self._f = flat_terms(f_flat, 2 * HEAD, "f-table ")
         self._h = flat_terms(h_flat, HEAD, "h-table ")
 
+    @cached_property
+    def _mul(self):
+        return [_coordinate("mul", k, t) for k, t in enumerate(self._f)]
+
+    @cached_property
+    def _inv(self):
+        return [_coordinate("inv", k, t) for k, t in enumerate(self._h)]
+
+    def __reduce__(self):
+        # the compiled coordinates are lambdas; rebuild them from the terms
+        return type(self), (self._f, self._h)
+
     def mul(self, x, y):
-        v = x[:HEAD] + y[:HEAD]
-        out = []
-        for k in range(N):
-            acc = x[k] + y[k]
-            for coeff, codes in self._f[k]:
-                p = coeff
-                for c in codes:
-                    p *= v[c]
-                    if not p:
-                        break
-                acc += p
-            out.append(acc % 3)
-        return tuple(out)
+        return tuple([g(x, y) for g in self._mul])
 
     def inv(self, x):
         """Raw inverse -x + h(x); `loop.Loop.inverse` self-checks it."""
-        out = []
-        for k in range(N):
-            acc = 3 - x[k]
-            for coeff, codes in self._h[k]:
-                p = coeff
-                for c in codes:
-                    p *= x[c]
-                    if not p:
-                        break
-                acc += p
-            out.append(acc % 3)
-        return tuple(out)
+        return tuple([g(x) for g in self._inv])
 
     # -- deterministic randomness ------------------------------------------
 

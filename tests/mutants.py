@@ -39,6 +39,10 @@ HEADS = ("tests/test_law_oracle.py::"
          "test_head_offsets_are_the_trits_placed_on_heads")
 JUMPS = ("tests/test_shared_sweeps.py::"
          "test_packed_jump_tables_match_scalar_construction")
+FIXED = ("tests/test_compiled_kernel.py::"
+         "test_fixed_systems_match_the_interpreter")
+SAME_TERMS = ("tests/test_compiled_kernel.py::"
+              "test_same_terms_at_two_coordinates_give_different_functions")
 
 
 class Mutant(NamedTuple):
@@ -109,6 +113,13 @@ MUTANTS = [
            KERNEL,
            "range(max(0, trials - cycle), trials)",
            "range(max(0, trials - cycle + 1), trials)", (REACH, CHUNKS)),
+    Mutant("kernel-18", "the coefficient is dropped from a compiled term",
+           NATIVE, '["%d" % coeff]', '["1"]', (FIXED,)),
+    Mutant("kernel-19", "a compiled square is collapsed to one factor",
+           NATIVE, "[_factor(c) for c in codes]",
+           "[_factor(c) for c in dict.fromkeys(codes)]", (FIXED,)),
+    Mutant("kernel-20", "the compiled-coordinate cache key loses k", NATIVE,
+           "key = kind, k, terms", "key = kind, terms", (SAME_TERMS,)),
 ]
 
 

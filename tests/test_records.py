@@ -17,11 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from moufang3 import (Loop, basis, closure, count_l_set, density_sample,
-                      f_table, h_table, nonsubloop_witness, run_sweep,
-                      validate_tables, var)
+from moufang3 import (Loop, basis, closure, count_l_set, default_loop,
+                      density_sample, f_table, h_table, kernel,
+                      nonsubloop_witness, run_sweep, validate_tables, var)
 from moufang3.cli import run_verification
 from moufang3.symbolic import SymbolicLoop
+from moufang3.tables import compile_concrete
 
 ZERO = "(" + ",".join("0" * 19) + ")"
 
@@ -192,3 +193,35 @@ def test_round_trips(copier):
     copied = copier(report)
     assert copied.witness is not None
     assert copied == report and copied.as_json() == report.as_json()
+
+
+
+def _kernel_ops(k):
+    """(mul, inverse) of a Loop or of a bare kernel."""
+    return (k.mul, k.inverse) if isinstance(k, Loop) else (k.mul, k.inv)
+
+
+@pytest.mark.parametrize("copier", [lambda x: pickle.loads(pickle.dumps(x)),
+                                    copy.deepcopy], ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
+@pytest.mark.parametrize("build", [
+    Loop, lambda: kernel.LoopKernel(compile_concrete(f_table()),
+                                    compile_concrete(h_table()))],
+    ids=["Loop", "kernel"])
+def test_loop_and_kernel_round_trips(copier, used, build):
+    # a kernel compiles its coordinates, lambdas, on its first product and
+    # inverse; a copy made before or after rebuilds them from the terms
+    state, xs = 11, []
+    for _ in range(30):
+        x, state = default_loop().random_element(state)
+        xs.append(x)
+    original = build()
+    mul, inv = _kernel_ops(original)
+    if used:
+        mul(xs[0], xs[1]), inv(xs[0])
+    copied = copier(original)
+    assert type(copied) is type(original)
+    copied_mul, copied_inv = _kernel_ops(copied)
+    assert [copied_mul(x, y) for x, y in zip(xs, xs[1:])] == \
+        [mul(x, y) for x, y in zip(xs, xs[1:])]
+    assert [copied_inv(x) for x in xs] == [inv(x) for x in xs]

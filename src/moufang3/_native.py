@@ -4,17 +4,27 @@ Also the pure-Python scalar kernel and the table of swept laws.
 
 `LoopKernel` evaluates one product, inverse or draw at a time; it is the
 reference that `moufang3.kernel`'s bit-sliced sweeps are tested against.
-Its product and inverse are compiled, one function per coordinate:
-coordinate k of `mul` is `lambda x, y: (x[k] + y[k] + <terms>) % 3` and of
-`inv` `lambda x: (-x[k] + <terms>) % 3`, a code c below HEAD read as
-`x[c]` and any other as `y[c - HEAD]`.  A kernel compiles them on its
-first product or inverse, so building one compiles nothing, and takes each
-from a module cache keyed by (kind, k, terms) that keeps the CACHE_SIZE
-most recently used: a table that differs from a cached one in one
-coordinate compiles that coordinate alone.  The source is written only
-from the exact ints `flat_terms` makes with `operator.index`, each
-formatted by %d, so no table text and no `__str__` or `__format__` of an
-int subclass reaches `compile`.
+Its product and inverse run in two tiers.  A kernel interprets its flat
+terms for its first PROMOTE_AT calls of `mul` and `inv` together, so
+building one, a short process and a table variant checked a few times
+compile nothing.  At call PROMOTE_AT it compiles its whole table into one
+`mul` and one `inv` (`_source`) and binds them on the instance, where every
+later call finds them with no dispatch or count; a caller that bound the
+method before then goes on interpreting, with the same results, and a copy
+is rebuilt from the terms (`__reduce__`) and starts interpreted.  Each
+generated function unpacks its arguments into locals x0.., y0.. and
+returns one sum mod 3 per coordinate, `(x4 + y4 + 2*x1*y0) % 3` or
+`(-x4 + 2*x0*x1) % 3`, with a code c below HEAD read as x<c> and any other
+as y<c - HEAD>.  Terms that share a leading factor are summed inside it,
+and every sum is written in parenthesised groups of at most SUM_WIDTH
+summands, so a coordinate of thousands of terms compiles on every Python.  The source is
+written only from the exact ints `flat_terms` makes with `operator.index`,
+each formatted by %d, so no table text and no `__str__` or `__format__` of
+an int subclass reaches `compile`.  On the shipped tables (2-CPU host,
+Python 3.11.7) a product takes 11-12 us interpreted and 2.2-2.3 us
+compiled, an inverse 5.0-5.3 and 1.1-1.2 us, and compiling both takes
+0.7-1.3 ms: the break-even is 80-150 calls, and PROMOTE_AT sits above it so
+that a 20-sample `density` (180 calls) and every `audit` variant interpret.
 Its one per-trial primitive is `verdicts`, an endless stream of a law's
 outcomes trial by trial; `sweep` is the fold of its first `trials` items.
 It trusts its inputs: elements are N-tuples of GF(3) residues, checked
@@ -32,7 +42,6 @@ evaluates and counts such systems.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import accumulate, islice
 from operator import index
 from typing import Callable, NamedTuple
@@ -165,38 +174,59 @@ def flat_terms(flat, n, prefix=""):
     return out
 
 
+PROMOTE_AT = 200   # calls of mul and inv a kernel interprets (see above)
+SUM_WIDTH = 64     # summands in one parenthesised group of a generated sum
+
+
 def _factor(c):
-    return "x[%d]" % c if c < HEAD else "y[%d]" % (c - HEAD)
+    return "x%d" % c if c < HEAD else "y%d" % (c - HEAD)
 
 
-def _source(kind, k, terms):
-    """Source of coordinate k of the product (kind "mul") or of the raw
-    inverse ("inv"), one `flat_terms` term a summand; every number in it
-    is formatted by %d."""
-    if kind == "mul":
-        head = "lambda x, y: (x[%d] + y[%d]" % (k, k)
-    else:
-        head = "lambda x: (-x[%d]" % k
-    return head + "".join(
-        " + " + "*".join(["%d" % coeff] + [_factor(c) for c in codes])
-        for coeff, codes in terms) + ") % 3"
+def _product(coeff, codes):
+    """coeff times the factors `codes`, a coefficient of 1 left out."""
+    factors = [_factor(c) for c in codes]
+    if coeff == 1 and factors:
+        return "*".join(factors)
+    return "*".join(["%d" % coeff] + factors)
 
 
-CACHE_SIZE = 128
-_COMPILED = {}  # (kind, k, terms) -> function, least recently used first
+def _sum(parts):
+    """`parts` joined by +, as groups of at most SUM_WIDTH in parentheses,
+    nested as deep as needed: the compiler walks a chain of + recursively."""
+    while len(parts) > SUM_WIDTH:
+        parts = ["(%s)" % " + ".join(parts[i:i + SUM_WIDTH])
+                 for i in range(0, len(parts), SUM_WIDTH)]
+    return " + ".join(parts)
 
 
-def _coordinate(kind, k, terms):
-    """The compiled coordinate k of `kind` (see `_source`), from the cache."""
-    key = kind, k, terms
-    fn = _COMPILED.pop(key, None)
-    if fn is None:
-        code = compile(_source(kind, k, terms), f"<{kind} {k + 1}>", "eval")
-        fn = eval(code, {"__builtins__": {}})
-        if len(_COMPILED) >= CACHE_SIZE:
-            del _COMPILED[next(iter(_COMPILED))]
-    _COMPILED[key] = fn
-    return fn
+def _summands(terms):
+    """One coordinate's terms as summands, grouped by their leading factor:
+    the terms 2*x1*y0 and 1*x1*x2*y3 become x1*(2*y0 + x2*y3)."""
+    groups = {}
+    for coeff, codes in terms:
+        groups.setdefault(codes[:1], []).append((coeff, codes[1:]))
+    out = []
+    for lead, rest in groups.items():
+        if lead and len(rest) > 1:
+            out.append(_factor(lead[0]) + "*(%s)"
+                       % _sum([_product(*t) for t in rest]))
+        else:
+            out += [_product(coeff, lead + codes) for coeff, codes in rest]
+    return out
+
+
+def _source(f, h):
+    """Source of `mul` and of the raw `inv` for the flat tables f and h:
+    each unpacks its arguments into locals x0.., y0.. and returns one sum
+    mod 3 per coordinate.  Every number in it is formatted by %d."""
+    xs, ys = (", ".join(v + "%d" % k for k in range(N)) for v in "xy")
+    mul = ["(%s) %% 3" % _sum(["x%d" % k, "y%d" % k] + _summands(t))
+           for k, t in enumerate(f)]
+    inv = ["(%s) %% 3" % _sum(["-x%d" % k] + _summands(t))
+           for k, t in enumerate(h)]
+    return ("def mul(x, y):\n    %s = x\n    %s = y\n    return (%s,)\n"
+            "def inv(x):\n    %s = x\n    return (%s,)\n"
+            % (xs, ys, ", ".join(mul), xs, ", ".join(inv)))
 
 
 def vec_add(x, y):
@@ -225,25 +255,56 @@ class LoopKernel:
     def __init__(self, f_flat, h_flat):
         self._f = flat_terms(f_flat, 2 * HEAD, "f-table ")
         self._h = flat_terms(h_flat, HEAD, "h-table ")
-
-    @cached_property
-    def _mul(self):
-        return [_coordinate("mul", k, t) for k, t in enumerate(self._f)]
-
-    @cached_property
-    def _inv(self):
-        return [_coordinate("inv", k, t) for k, t in enumerate(self._h)]
+        self._calls = 0
 
     def __reduce__(self):
-        # the compiled coordinates are lambdas; rebuild them from the terms
+        # a promoted kernel holds generated functions; a copy rebuilds from
+        # the terms and starts interpreted
         return type(self), (self._f, self._h)
 
+    def _promote(self):
+        """Compile the whole table and bind `mul` and `inv` on the instance,
+        so later calls skip the interpreter and its count."""
+        space = {"__builtins__": {}}
+        exec(compile(_source(self._f, self._h), "<loop kernel>", "exec"),
+             space)
+        self.mul, self.inv = space["mul"], space["inv"]
+
     def mul(self, x, y):
-        return tuple([g(x, y) for g in self._mul])
+        self._calls += 1
+        if self._calls == PROMOTE_AT:
+            self._promote()
+        v = x[:HEAD] + y[:HEAD]
+        out = []
+        for k in range(N):
+            acc = x[k] + y[k]
+            for coeff, codes in self._f[k]:
+                p = coeff
+                for c in codes:
+                    p *= v[c]
+                    if not p:
+                        break
+                acc += p
+            out.append(acc % 3)
+        return tuple(out)
 
     def inv(self, x):
         """Raw inverse -x + h(x); `loop.Loop.inverse` self-checks it."""
-        return tuple([g(x) for g in self._inv])
+        self._calls += 1
+        if self._calls == PROMOTE_AT:
+            self._promote()
+        out = []
+        for k in range(N):
+            acc = 3 - x[k]
+            for coeff, codes in self._h[k]:
+                p = coeff
+                for c in codes:
+                    p *= x[c]
+                    if not p:
+                        break
+                acc += p
+            out.append(acc % 3)
+        return tuple(out)
 
     # -- deterministic randomness ------------------------------------------
 

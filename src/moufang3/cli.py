@@ -75,17 +75,18 @@ def _tokenize(text):
 
 
 class _ExprParser:
-    """Recursive-descent evaluator for loop expressions.
+    """Recursive-descent parser of loop expressions into a tree: a leaf is
+    ("value", element), a node ("inverse", operand, times) or the name of
+    the `Loop` method it applies followed by its operands.
 
     Products associate only with explicit parentheses: the loop is
     nonassociative, so `e1*e2*e3` is rejected rather than silently
     left-associated.
     """
 
-    def __init__(self, text: str, loop: Loop):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.loop = loop
 
     def peek(self):
         return self.tokens[self.pos]
@@ -101,14 +102,14 @@ class _ExprParser:
             raise ParseError(f"expected {kind}, got {tok[1]!r}", tok[2])
         return tok
 
-    def parse(self) -> Element:
-        value = self.expr()
+    def parse(self) -> tuple:
+        tree = self.expr()
         tok = self.take()
         if tok[0] != "END":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return value
+        return tree
 
-    def expr(self) -> Element:
+    def expr(self) -> tuple:
         factors = [self.factor()]
         star_pos = None
         while self.peek()[0] == "STAR":
@@ -121,34 +122,32 @@ class _ExprParser:
                 "products of three or more factors need explicit parentheses",
                 star_pos or 0)
         if len(factors) == 2:
-            return self.loop.mul(factors[0], factors[1])
+            return ("mul", *factors)
         return factors[0]
 
-    def factor(self) -> Element:
-        value = self.atom()
+    def factor(self) -> tuple:
+        tree, times = self.atom(), 0
         while self.peek()[0] == "INV":
             self.take()
-            value = self.loop.inverse(value)
-        return value
+            times += 1
+        return ("inverse", tree, times) if times else tree
 
-    def atom(self) -> Element:
+    def atom(self) -> tuple:
         tok = self.take()
         kind, text, pos = tok
         if kind == "DENSE":
-            return parse_element(text)
+            return ("value", parse_element(text))
         if kind == "LPAREN":
-            value = self.expr()
+            tree = self.expr()
             self.expect("RPAREN")
-            return value
+            return tree
         if kind == "NAME":
             if text == "0":
-                return identity()
+                return ("value", identity())
             if text == "comm":
-                u, v = self.args(2)
-                return self.loop.commutator(u, v)
+                return ("commutator", *self.args(2))
             if text == "assoc":
-                u, v, w = self.args(3)
-                return self.loop.associator(u, v, w)
+                return ("associator", *self.args(3))
             if text.startswith("e"):
                 try:
                     idx = tables.ascii_int(text[1:])
@@ -156,7 +155,7 @@ class _ExprParser:
                     raise ParseError(f"unknown name {text!r}", pos) from None
                 if not 1 <= idx <= N:
                     raise ParseError(f"basis index {idx} outside 1..{N}", pos)
-                return basis(idx)
+                return ("value", basis(idx))
             raise ParseError(f"unknown name {text!r}", pos)
         raise ParseError(f"unexpected token {text!r}", pos)
 
@@ -170,19 +169,35 @@ class _ExprParser:
         return out
 
 
+def _evaluate(tree, loop: Loop) -> Element:
+    """The element a parsed expression names, operands left to right; no
+    deeper than the parse that built the tree."""
+    op, *args = tree
+    if op == "value":
+        return args[0]
+    if op == "inverse":
+        value = _evaluate(args[0], loop)
+        for _ in range(args[1]):
+            value = loop.inverse(value)
+        return value
+    return getattr(loop, op)(*[_evaluate(a, loop) for a in args])
+
+
 def eval_expression(text: str, loop: Loop | None = None) -> Element:
-    """Evaluate an element expression; tries the plain element forms first."""
+    """Evaluate an element expression; tries the plain element forms first.
+    The whole text is parsed before anything is evaluated."""
     lp = loop if loop is not None else default_loop()
     try:
         return parse_element(text)
     except ParseError:
         pass
-    parser = _ExprParser(text, lp)
+    parser = _ExprParser(text)
     try:
-        return parser.parse()
+        tree = parser.parse()
     except RecursionError:     # one parser frame per nesting level
         pos = parser.tokens[min(parser.pos, len(parser.tokens) - 1)][2]
         raise ParseError("expression nested too deeply", pos) from None
+    return _evaluate(tree, lp)
 
 
 # -- the verification report --------------------------------------------------

@@ -41,8 +41,10 @@ JUMPS = ("tests/test_shared_sweeps.py::"
          "test_packed_jump_tables_match_scalar_construction")
 FIXED = ("tests/test_compiled_kernel.py::"
          "test_fixed_systems_match_the_interpreter")
-SAME_TERMS = ("tests/test_compiled_kernel.py::"
-              "test_same_terms_at_two_coordinates_give_different_functions")
+PROMOTE = ("tests/test_compiled_kernel.py::"
+           "test_a_kernel_promotes_at_call_promote_at")
+LONG = ("tests/test_compiled_kernel.py::"
+        "test_a_long_coordinate_runs_every_command")
 
 
 class Mutant(NamedTuple):
@@ -113,13 +115,21 @@ MUTANTS = [
            KERNEL,
            "range(max(0, trials - cycle), trials)",
            "range(max(0, trials - cycle + 1), trials)", (REACH, CHUNKS)),
-    Mutant("kernel-18", "the coefficient is dropped from a compiled term",
+    Mutant("kernel-18", "the coefficient is dropped from a generated term",
            NATIVE, '["%d" % coeff]', '["1"]', (FIXED,)),
-    Mutant("kernel-19", "a compiled square is collapsed to one factor",
+    Mutant("kernel-19", "a generated square is collapsed to one factor",
            NATIVE, "[_factor(c) for c in codes]",
            "[_factor(c) for c in dict.fromkeys(codes)]", (FIXED,)),
-    Mutant("kernel-20", "the compiled-coordinate cache key loses k", NATIVE,
-           "key = kind, k, terms", "key = kind, terms", (SAME_TERMS,)),
+    Mutant("kernel-20", "a group of terms loses its leading factor", NATIVE,
+           'out.append(_factor(lead[0]) + "*(%s)"', 'out.append("(%s)"',
+           (FIXED, LONG)),
+    Mutant("kernel-21", "a generated sum drops the term after each group of "
+           "SUM_WIDTH", NATIVE,
+           "range(0, len(parts), SUM_WIDTH)",
+           "range(0, len(parts), SUM_WIDTH + 1)", (FIXED, LONG)),
+    Mutant("kernel-22", "a kernel never promotes", NATIVE,
+           '        self.mul, self.inv = space["mul"], space["inv"]\n', "",
+           (PROMOTE,)),
 ]
 
 

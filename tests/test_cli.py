@@ -9,7 +9,7 @@ import pytest
 from moufang3 import __version__, cli
 from moufang3.cli import eval_expression, main
 from moufang3.errors import AmbiguousBracketing, ParseError
-from moufang3.loop import basis, identity
+from moufang3.loop import Loop, basis, identity
 from moufang3.tables import _DATA_DIR
 
 E19_DENSE = "(" + ",".join(["0"] * 18 + ["1"]) + ")"
@@ -90,6 +90,20 @@ def test_eval_deep_nesting_exits_2_without_traceback(capsys):
         code, out, err = run(capsys, "eval", expr)
         assert code == 2 and out == ""
         assert one_line_error(err) and "nested too deeply" in err
+
+
+def test_only_the_parsers_recursion_is_a_parse_error(monkeypatch):
+    # the whole expression is parsed before the loop multiplies anything
+    lp = Loop()
+
+    def deep(x, y):
+        raise RecursionError("raised while multiplying")
+
+    monkeypatch.setattr(lp, "mul", deep)
+    with pytest.raises(RecursionError, match="while multiplying"):
+        eval_expression("e1*e2", lp)
+    with pytest.raises(AmbiguousBracketing):
+        eval_expression("(e1*e2)*e3*e4", lp)
 
 
 def test_expression_errors_carry_positions(loop):

@@ -20,6 +20,7 @@ import pytest
 from moufang3 import (Loop, basis, closure, count_l_set, default_loop,
                       density_sample, f_table, h_table, kernel,
                       nonsubloop_witness, run_sweep, validate_tables, var)
+from moufang3._native import PROMOTE_AT
 from moufang3.cli import run_verification
 from moufang3.symbolic import SymbolicLoop
 from moufang3.tables import compile_concrete
@@ -203,24 +204,28 @@ def _kernel_ops(k):
 
 @pytest.mark.parametrize("copier", [lambda x: pickle.loads(pickle.dumps(x)),
                                     copy.deepcopy], ids=["pickle", "deepcopy"])
-@pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
+@pytest.mark.parametrize("calls", [0, 2, PROMOTE_AT],
+                         ids=["fresh", "used", "promoted"])
 @pytest.mark.parametrize("build", [
     Loop, lambda: kernel.LoopKernel(compile_concrete(f_table()),
                                     compile_concrete(h_table()))],
     ids=["Loop", "kernel"])
-def test_loop_and_kernel_round_trips(copier, used, build):
-    # a kernel compiles its coordinates, lambdas, on its first product and
-    # inverse; a copy made before or after rebuilds them from the terms
+def test_loop_and_kernel_round_trips(copier, calls, build):
+    # a kernel binds generated functions on the instance when it promotes;
+    # a copy made before or after rebuilds from the terms, interpreted
     state, xs = 11, []
     for _ in range(30):
         x, state = default_loop().random_element(state)
         xs.append(x)
     original = build()
     mul, inv = _kernel_ops(original)
-    if used:
-        mul(xs[0], xs[1]), inv(xs[0])
+    for i in range(calls):
+        mul(xs[i % 29], xs[i % 29 + 1]) if i % 2 else inv(xs[i % 30])
+    bare = getattr(original, "_kernel", original)
+    assert ("mul" in vars(bare)) == (calls == PROMOTE_AT)
     copied = copier(original)
     assert type(copied) is type(original)
+    assert "mul" not in vars(getattr(copied, "_kernel", copied))
     copied_mul, copied_inv = _kernel_ops(copied)
     assert [copied_mul(x, y) for x, y in zip(xs, xs[1:])] == \
         [mul(x, y) for x, y in zip(xs, xs[1:])]

@@ -17,14 +17,15 @@ returns one sum mod 3 per coordinate, `(x4 + y4 + 2*x1*y0) % 3` or
 `(-x4 + 2*x0*x1) % 3`, with a code c below HEAD read as x<c> and any other
 as y<c - HEAD>.  Terms that share a leading factor are summed inside it,
 and every sum is written in parenthesised groups of at most SUM_WIDTH
-summands, so a coordinate of thousands of terms compiles on every Python.  The source is
-written only from the exact ints `flat_terms` makes with `operator.index`,
-each formatted by %d, so no table text and no `__str__` or `__format__` of
-an int subclass reaches `compile`.  On the shipped tables (2-CPU host,
-Python 3.11.7) a product takes 11-12 us interpreted and 2.2-2.3 us
-compiled, an inverse 5.0-5.3 and 1.1-1.2 us, and compiling both takes
-0.7-1.3 ms: the break-even is 80-150 calls, and PROMOTE_AT sits above it so
-that a 20-sample `density` (180 calls) and every `audit` variant interpret.
+summands, so a coordinate of thousands of terms compiles on every Python.
+The source is written only from the exact ints `flat_terms` makes with
+`operator.index`, each formatted by %d, so no table text and no `__str__`
+or `__format__` of an int subclass reaches `compile`.  On the shipped
+tables (2-CPU host, Python 3.11.7) a product takes 11-12 us interpreted
+and 2.2-2.3 us compiled, an inverse 5.0-5.3 and 1.1-1.2 us, and compiling
+both takes 0.7-1.3 ms: the break-even is 80-150 calls, and PROMOTE_AT sits
+above it so that a 20-sample `density` (180 calls) and every `audit`
+variant interpret.
 Its one per-trial primitive is `verdicts`, an endless stream of a law's
 outcomes trial by trial; `sweep` is the fold of its first `trials` items.
 It trusts its inputs: elements are N-tuples of GF(3) residues, checked

@@ -223,9 +223,11 @@ class Loop:
         """Left-nested n-th power; diassociativity makes bracketing moot."""
         x = check_element(x)
         base = x if n >= 0 else self._inverse(x)
-        mul, acc = self._kernel.mul, _IDENTITY
+        # `self._kernel.mul` is looked up on each call: a kernel rebinds it
+        # when it promotes, possibly inside this loop
+        k, acc = self._kernel, _IDENTITY
         for _ in range(abs(n)):
-            acc = mul(acc, base)
+            acc = k.mul(acc, base)
         return acc
 
     def order(self, x: Element, cap: int = 81) -> int:
@@ -233,11 +235,11 @@ class Loop:
         x = check_element(x)
         if cap < 1:
             raise ValueError("cap must be >= 1")
-        mul, acc = self._kernel.mul, x
+        k, acc = self._kernel, x
         for n in range(1, cap + 1):
             if acc == _IDENTITY:
                 return n
-            acc = mul(acc, x)
+            acc = k.mul(acc, x)     # looked up each time, as in `power`
         raise OrderNotFoundWithinCap(
             f"order of {format_element(x)} exceeds cap {cap}")
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from moufang3 import _native, cli, kernel
 from moufang3._native import HEAD, N, PROMOTE_AT, SUM_WIDTH, LoopKernel
 from moufang3.kernel import PolyEvaluator
-from moufang3.loop import Loop
+from moufang3.loop import Loop, basis
 from moufang3.tables import _DATA_DIR, load_tables_from
 
 
@@ -121,6 +121,15 @@ def test_a_kernel_promotes_at_call_promote_at():
     assert promoted(k)
     assert k.mul(x, y) == want_mul          # call PROMOTE_AT + 1
     assert k.inv(x) == want_inv
+
+
+def test_a_long_power_switches_to_the_compiled_product():
+    # Loop.power and Loop.order look the product up on every step, so the
+    # steps after the promotion run compiled
+    lp = Loop()
+    n = PROMOTE_AT + 50
+    assert lp.power(basis(1), n) == tuple(n % 3 * v for v in basis(1))
+    assert promoted(lp._kernel) and lp._kernel._calls == PROMOTE_AT
 
 
 class Sneaky(int):

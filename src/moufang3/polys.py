@@ -47,13 +47,15 @@ decoded keys.  `substitute`, `evaluate`, `specialize` and
 `variables` work on the keys and take or return Var objects only.
 
 Substitution is the hot path of the symbolic proofs, so it works on the raw
-term dicts and builds no Poly until its result.  Its `Env` has sorted the
-values into zero, one-term and longer, once for all the coordinates of a
-symbolic product; an unbound variable raises even behind a zero factor.
-It skips each monomial with a factor that is the zero polynomial,
-folds the one-term factors into a single term and multiplies the longer
-factors onto it smallest first, through `_mul_terms`, the product
-`Poly.__mul__` uses.
+term dicts and builds no Poly until its result.  A symbolic product first
+skips every coordinate whose monomials all read a zero value (from each
+coordinate's `read_sets`) and builds an `Env` only when some coordinate is
+left.  The `Env` has sorted the values into zero, one-term and longer, once
+for all the coordinates of that product; an unbound variable raises even
+behind a zero factor.  `substitute` skips each monomial with a factor that
+is the zero polynomial, folds the one-term factors into a single term and
+multiplies the longer factors onto it smallest first, through `_mul_terms`,
+the product `Poly.__mul__` uses.
 """
 
 from __future__ import annotations
@@ -273,6 +275,11 @@ class Poly:
     def variables(self) -> set:
         return {_VAR_AT[off] for off in _fields(reduce(or_, self._terms, 0) & LOW)}
 
+    def read_sets(self) -> tuple:
+        """The distinct sets of variables its monomials read, each the OR
+        of their `field_bit`s; a constant monomial reads the empty set, 0."""
+        return tuple({mono & LOW for mono in self._terms})
+
     def coefficient(self, mono: Monomial) -> int:
         return self._terms.get(_encode(mono), 0)
 
@@ -301,7 +308,18 @@ class Poly:
         return Poly._raw({m: 3 - c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        if not other._terms:
+            return self
+        acc = dict(self._terms)
+        for mono, coeff in other._terms.items():
+            c = (acc.get(mono, 0) - coeff) % 3
+            if c:
+                acc[mono] = c
+            else:
+                del acc[mono]
+        return Poly._raw(acc)
 
     def __mul__(self, other):
         if isinstance(other, int):

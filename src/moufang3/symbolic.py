@@ -25,6 +25,14 @@ scalar kernel is for a sweep: `mul` and `inv` are its formula applications,
 in block "xyz"[i] (a tail: variables at 11..19 only), placed by `Law.place`.
 A refutation's witness evaluates the same law on the concrete kernel.
 
+A product skips its dead coordinates before it builds an `Env`: a table
+reads only x1..x10 and y1..y10 (`tables.validate_table`), so where every
+monomial of f_k reads a head coordinate whose polynomial is zero, f_k
+substitutes to zero and coordinate k keeps a_k + b_k (h_k and -a_k for the
+inverse).  A constant monomial reads nothing and keeps its coordinate live.
+The normal-form chain, whose factors have one nonzero head each, skips
+almost every coordinate.
+
 The proofs double as transcription insurance: it is the x^3 = x reduction,
 not goodwill, that makes a single corrupted monomial surface as a nonzero
 difference coordinate (the mutation tests exercise exactly that).
@@ -33,6 +41,8 @@ difference coordinate (the mutation tests exercise exactly that).
 from __future__ import annotations
 
 import time
+from functools import cache
+from itertools import compress
 from typing import Mapping, NamedTuple, Sequence
 
 from . import loop as loop_mod
@@ -40,15 +50,19 @@ from . import kernel
 from ._native import HEAD, IDENTITY_LAW, N, sweep_law
 from .errors import CanonicalFormBroken, DivisionCheckFailed
 from .loop import Element, Loop, basis, default_loop
-from .polys import Env, Poly, Var, flatten_polys, var
+from .polys import Env, Poly, Var, field_bit, flatten_polys, var
 
 _X_HEAD = tuple(Var("x", i) for i in range(1, HEAD + 1))
 _XY_HEAD = _X_HEAD + tuple(Var("y", i) for i in range(1, HEAD + 1))
+# the field bits of x1..x10 and y1..y10, the only variables a table reads
+_XY_BITS = tuple(field_bit(b, i) for b in "xy" for i in range(1, HEAD + 1))
 EXTRA_PAIRS = 2  # seeded random pairs `consistency_sweep` adds to (e3, e4)
 
 
+@cache
 def generic(block: str) -> tuple:
-    """The generic element of a block: coordinate i is the variable block_i."""
+    """The generic element of a block: coordinate i is the variable block_i.
+    Built once per block; its polynomials are immutable."""
     return tuple(var(block, i) for i in range(1, N + 1))
 
 
@@ -186,6 +200,18 @@ def _telemetry(*sides: Sequence[Poly]) -> dict:
     }
 
 
+def _live(coords, heads) -> list:
+    """The (k, p) of the coordinates with a monomial that reads no zero head.
+
+    Every monomial of any other coordinate has a zero factor, so its
+    substitution is zero and the coordinate keeps its addend.  A constant
+    monomial reads nothing and is always live.
+    """
+    dead = sum(compress(_XY_BITS, map(Poly.is_zero, heads)))
+    return [(k, p) for k, p, reads in coords
+            if not all(map(dead.__and__, reads))]
+
+
 class SymbolicLoop:
     """Symbolic multiplication/inverse plus the identity proofs for one Loop;
     also the ops `_native.LAWS` is read with, on 19-tuples of polynomials."""
@@ -194,26 +220,35 @@ class SymbolicLoop:
 
     def __init__(self, concrete: Loop | None = None):
         self.loop = concrete if concrete is not None else default_loop()
-        # (k, f_k), (k, h_k) of the nonzero coordinates; f_1..f_4 always vanish
-        self._f = [(k, p) for k, p in enumerate(self.loop.f.coords) if p]
-        self._h = [(k, p) for k, p in enumerate(self.loop.h.coords) if p]
+        # (k, f_k, read sets), (k, h_k, read sets) of the nonzero
+        # coordinates; f_1..f_4 always vanish
+        self._f = [(k, p, p.read_sets())
+                   for k, p in enumerate(self.loop.f.coords) if p]
+        self._h = [(k, p, p.read_sets())
+                   for k, p in enumerate(self.loop.h.coords) if p]
 
     # -- the ops `LAWS` reads: the two formula applications and `add` ------
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         """Coordinate k of a o b: a_k + b_k + f_k(a, b)."""
-        env = Env(zip(_XY_HEAD, a[:HEAD] + b[:HEAD]))
+        heads = a[:HEAD] + b[:HEAD]
         out = list(map(Poly.__add__, a, b))
-        for k, p in self._f:
-            out[k] = p.substitute(env, out[k])
+        live = _live(self._f, heads)
+        if live:
+            env = Env(zip(_XY_HEAD, heads))
+            for k, p in live:
+                out[k] = p.substitute(env, out[k])
         return tuple(out)
 
     def inv(self, a: tuple) -> tuple:
         """Coordinate k of a^-1: -a_k + h_k(a)."""
-        env = Env(zip(_X_HEAD, a))
+        heads = a[:HEAD]
         out = list(map(Poly.__neg__, a))
-        for k, p in self._h:
-            out[k] = p.substitute(env, out[k])
+        live = _live(self._h, heads)
+        if live:
+            env = Env(zip(_X_HEAD, heads))
+            for k, p in live:
+                out[k] = p.substitute(env, out[k])
         return tuple(out)
 
     @staticmethod
@@ -255,7 +290,7 @@ class SymbolicLoop:
             return [side if len(side) == N else (side[:N], side[N:])
                     for side in (law.lhs(k, *args), law.rhs(k, *args))]
 
-        diffs = [p - q if q else p for p, q in zip(lhs, rhs)]  # skip zero q
+        diffs = list(map(Poly.__sub__, lhs, rhs))
         return self._report(claim, diffs, blocks, concrete,
                             telemetry(lhs, rhs), t0)
 
@@ -281,7 +316,7 @@ class SymbolicLoop:
         acc = factors[0]
         for p in factors[1:]:
             acc = self.mul(acc, p)
-        diffs = [p - q for p, q in zip(acc, t)]
+        diffs = list(map(Poly.__sub__, acc, t))
         report = self._report("normal-form", diffs, ("t",),
                               self._normal_form_concrete,
                               _telemetry(acc), t0, details=details)
@@ -297,14 +332,18 @@ class SymbolicLoop:
         Only an index i where some f monomial reads nothing but x_i/y_i, or
         some h monomial nothing but x_i, is checked: every other monomial
         reads a coordinate that is zero on the multiples of e_i, so there
-        f and h vanish term by term.
+        f and h vanish term by term.  A constant monomial reads nothing, so
+        it puts every index to the check.  The read sets come from the
+        monomials' packed keys, which read only x/y 1..10.
         """
+        # the read sets of one index i: x_i, y_i and x_i*y_i
+        one = {}
+        for i, (x, y) in enumerate(zip(_XY_BITS, _XY_BITS[HEAD:]), start=1):
+            one[x] = one[y] = one[x | y] = (i,)
         indices = set()
-        for _, p in self._f + self._h:
-            for mono, _ in p.terms():
-                read = {v.index for v, _ in mono}
-                if len(read) <= 1:
-                    indices.update(read or range(1, N + 1))
+        for _, _, reads in self._f + self._h:
+            for mask in reads:
+                indices.update(one.get(mask, ()) if mask else range(1, N + 1))
         k = self.loop._kernel
         zero = loop_mod.identity()
         failures = []

@@ -45,6 +45,13 @@ PROMOTE = ("tests/test_compiled_kernel.py::"
            "test_a_kernel_promotes_at_call_promote_at")
 LONG = ("tests/test_compiled_kernel.py::"
         "test_a_long_coordinate_runs_every_command")
+SKIPS = ("tests/test_substitution_parity.py::"
+         "test_a_product_skips_only_dead_coordinates")
+CONSTANT = ("tests/test_substitution_parity.py::"
+            "test_a_constant_monomial_is_never_skipped")
+CONSTANT_PRECHECK = ("tests/test_substitution_parity.py::"
+                     "test_a_constant_monomial_fails_the_precheck_at_every_index")
+SUB = "tests/test_polys.py::test_sub_subtracts_each_coefficient"
 
 
 class Mutant(NamedTuple):
@@ -58,6 +65,8 @@ class Mutant(NamedTuple):
 
 KERNEL = "src/moufang3/kernel.py"
 NATIVE = "src/moufang3/_native.py"
+SYMBOLIC = "src/moufang3/symbolic.py"
+POLYS = "src/moufang3/polys.py"
 
 MUTANTS = [
     Mutant("kernel-1", "a head offset is allowed at index HEAD, coordinate 11",
@@ -130,6 +139,20 @@ MUTANTS = [
     Mutant("kernel-22", "a kernel never promotes", NATIVE,
            '        self.mul, self.inv = space["mul"], space["inv"]\n', "",
            (PROMOTE,)),
+    Mutant("symbolic-1", "a coordinate is skipped when any one monomial reads "
+           "a zero head", SYMBOLIC,
+           "if not all(map(dead.__and__, reads))",
+           "if not any(map(dead.__and__, reads))", (SKIPS,)),
+    Mutant("symbolic-2", "a constant monomial counts as dead", SYMBOLIC,
+           "if not all(map(dead.__and__, reads))",
+           "if any(r and not r & dead for r in reads)", (CONSTANT,)),
+    Mutant("symbolic-3", "Poly.__sub__ adds", POLYS,
+           "c = (acc.get(mono, 0) - coeff) % 3",
+           "c = (acc.get(mono, 0) + coeff) % 3", (SUB,)),
+    Mutant("symbolic-4", "the precheck skips the indices a constant monomial "
+           "fails", SYMBOLIC,
+           "if mask else range(1, N + 1))", "if mask else ())",
+           (CONSTANT_PRECHECK,)),
 ]
 
 

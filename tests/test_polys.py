@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from moufang3 import Poly, UnboundVariable, Var, var
 from moufang3.kernel import PolyEvaluator
-from moufang3.polys import flatten_polys
+from moufang3.polys import field_bit, flatten_polys
 
 X1, X2 = var("x", 1), var("x", 2)
 Y1, Y2 = var("y", 1), var("y", 2)
@@ -66,6 +66,20 @@ def test_add_wraps_mod3():
 def test_add_distinct_monomials():
     p = X2 * Y1 + X1
     assert p.term_count() == 2
+
+
+def test_sub_subtracts_each_coefficient():
+    p = X1 * Y1 + 2 * X2 + Y2
+    q = X1 * Y1 + X2 + Poly.constant(2)
+    assert p - q == X2 + Y2 + Poly.constant(1)
+    assert (p - p).is_zero()
+    assert q - Poly.zero() == q
+    assert Poly.zero() - q == -q
+
+
+def test_sub_refuses_a_non_polynomial():
+    with pytest.raises(TypeError):
+        X1 - 1
 
 
 # -- multiplication and reduction ----------------------------------------------
@@ -164,6 +178,14 @@ def test_str_is_sorted_and_stable():
     assert str(X1 * X1) == "x1^2"
 
 
+def test_read_sets_are_the_distinct_variable_sets_of_the_monomials():
+    x1, y1, x2 = field_bit("x", 1), field_bit("y", 1), field_bit("x", 2)
+    # x1*y1 and x1^2*y1 read the same variables
+    p = X1 * Y1 + 2 * X1 ** 2 * Y1 + X2 + Poly.constant(2)
+    assert sorted(p.read_sets()) == sorted((x1 | y1, x2, 0))
+    assert Poly.zero().read_sets() == ()
+
+
 def test_variables():
     assert (X1 * Y2 + X2).variables() == {Var("x", 1), Var("x", 2), Var("y", 2)}
 
@@ -178,6 +200,13 @@ def test_addition_commutes(p, q):
 @given(polys, polys, polys)
 def test_addition_associates(p, q, r):
     assert (p + q) + r == p + (q + r)
+
+
+@given(polys, polys)
+def test_sub_is_adding_the_negation(p, q):
+    assert p - q == p + (-q)
+    assert is_canonical(p - q)
+    assert (p - p).is_zero()
 
 
 @given(polys, polys)

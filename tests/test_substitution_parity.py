@@ -1,13 +1,16 @@
-"""The lean substitution kernel and the filtered power precheck against
-straightforward reference versions kept here.
+"""The lean substitution kernel, the skipping symbolic product and the
+filtered power precheck against straightforward reference versions kept
+here.
 
 `oracle_substitute` is the Poly-object substitution (one Poly temporary per
 factor, multiplied in monomial order) and `oracle_mono_mul` the plain sorted
 merge; neither shares code with the packed-key arithmetic of
-`polys._mul_terms`.  `unfiltered_precheck` checks f and h on the
-aligned multiples of every basis vector.  The proof reports are compared on
-the shipped tables, the criterion-10 mutations and seeded one-monomial table
-edits made by a generator local to this file.
+`polys._mul_terms`.  `reference_mul` and `reference_inv` are the symbolic
+product and inverse without the dead-coordinate skip: every nonzero f_k and
+h_k goes through `oracle_substitute`.  `unfiltered_precheck` checks f and h
+on the aligned multiples of every basis vector.  The proof reports are
+compared on the shipped tables, the criterion-10 mutations and seeded
+one-monomial table edits made by a generator local to this file.
 """
 
 import random
@@ -17,10 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moufang3 import UnboundVariable, Var, f_table, h_table, var
-from moufang3 import polys, tables
+from moufang3 import polys, symbolic, tables
+from moufang3._native import HEAD, N
 from moufang3.loop import Loop, basis, vec_neg, vec_scale
-from moufang3.polys import Poly
-from moufang3.symbolic import SymbolicLoop
+from moufang3.polys import Poly, field_bit
+from moufang3.symbolic import SymbolicLoop, generic
 
 from test_acceptance import MUTATIONS, mutated_tables
 
@@ -71,6 +75,34 @@ def oracle_substitute(self, env, addend=None):
                 prod = oracle_mul(prod, q)
         acc = acc + prod
     return acc
+
+
+XY_HEAD = tuple(Var(b, i) for b in "xy" for i in range(1, HEAD + 1))
+
+
+def reference_mul(sym, a, b):
+    """a o b with every nonzero f_k substituted, skipping none."""
+    env = dict(zip(XY_HEAD, a[:HEAD] + b[:HEAD]))
+    out = list(map(Poly.__add__, a, b))
+    for k, p in enumerate(sym.loop.f.coords):
+        if p:
+            out[k] = oracle_substitute(p, env, out[k])
+    return tuple(out)
+
+
+def reference_inv(sym, a):
+    """a^-1 with every nonzero h_k substituted, skipping none."""
+    env = dict(zip(XY_HEAD[:HEAD], a))
+    out = [-p for p in a]
+    for k, p in enumerate(sym.loop.h.coords):
+        if p:
+            out[k] = oracle_substitute(p, env, out[k])
+    return tuple(out)
+
+
+def fresh_generic(block):
+    """`symbolic.generic` without its cache."""
+    return tuple(var(block, i) for i in range(1, N + 1))
 
 
 def unfiltered_precheck(lp):
@@ -147,6 +179,101 @@ def test_unbound_variable_raises_behind_a_zero_factor():
         p.substitute({Var("x", 1): Poly.zero()})
 
 
+# -- the skipping product against the reference --------------------------------
+
+def table_poly(blocks, max_terms=4):
+    """A coordinate a table may hold: up to four distinct variables of the
+    blocks at indices 1..10 per monomial; no variables is a constant."""
+    pool = [field_bit(b, i) for b in blocks for i in range(1, HEAD + 1)]
+    keys = st.lists(st.sampled_from(pool), unique=True, max_size=4).map(sum)
+    return st.lists(st.tuples(st.integers(1, 2), keys),
+                    max_size=max_terms).map(Poly.from_keys)
+
+
+def random_table(name, blocks):
+    # a few coordinates of 5..19 hold a polynomial, the rest are zero
+    coords = st.dictionaries(st.integers(5, N), table_poly(blocks),
+                             min_size=1, max_size=5)
+    return coords.map(lambda c: tables.FormulaTable(
+        name, blocks, tuple(c.get(k, Poly.zero()) for k in range(1, N + 1))))
+
+
+# heads are zero, one term or longer; their variables are outside the tables'
+HEAD_VALUES = st.one_of(
+    st.just(Poly.zero()),
+    polys_over(ZT + (Var("z", 1),), max_terms=1),
+    polys_over(ZT + (Var("z", 1), Var("t", 2)), max_terms=3))
+
+
+def symbolic_elements(count):
+    return st.tuples(*(st.tuples(*(HEAD_VALUES,) * N),) * count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_table("f", ("x", "y")), random_table("h", ("x",)),
+       symbolic_elements(2))
+def test_skipping_product_matches_the_reference(f, h, elements):
+    sym = SymbolicLoop(Loop(f, h))
+    a, b = elements
+    assert sym.mul(a, b) == reference_mul(sym, a, b)
+    assert sym.inv(a) == reference_inv(sym, a)
+    assert sym.mul(sym.identity, a) == reference_mul(sym, sym.identity, a)
+
+
+def seeded_element(rng, zero_share):
+    """A symbolic element whose coordinates are zero with the given share,
+    otherwise one variable or a sum of two."""
+    out = []
+    for i in range(1, N + 1):
+        r = rng.random()
+        if r < zero_share:
+            out.append(Poly.zero())
+        elif r < (1 + zero_share) / 2:
+            out.append(var(rng.choice("zt"), i))
+        else:
+            out.append(var("z", i) + 2 * var("t", rng.randint(1, N)))
+    return tuple(out)
+
+
+def test_a_product_skips_only_dead_coordinates():
+    # on the shipped tables, heads zero at random, at several densities
+    sym, rng = SymbolicLoop(), random.Random(33)
+    for n in range(40):
+        share = (0.2, 0.5, 0.8, 0.95)[n % 4]
+        a, b = seeded_element(rng, share), seeded_element(rng, share)
+        assert sym.mul(a, b) == reference_mul(sym, a, b), n
+        assert sym.inv(a) == reference_inv(sym, a), n
+
+
+def test_a_constant_monomial_is_never_skipped():
+    f = f_table().with_coord(7, f_table().coord(7) + Poly.constant(1))
+    h = h_table().with_coord(12, Poly.constant(2))
+    sym = SymbolicLoop(Loop(f, h))
+    zero = sym.identity
+    assert sym.mul(zero, zero)[6] == Poly.constant(1)
+    assert sym.inv(zero)[11] == Poly.constant(2)
+    x = generic("z")
+    assert sym.mul(zero, x) == reference_mul(sym, zero, x)
+    assert sym.inv(x) == reference_inv(sym, x)
+
+
+def test_a_constant_monomial_fails_the_precheck_at_every_index():
+    lp = Loop(h=h_table().with_coord(7, h_table().coord(7) + Poly.constant(1)))
+    want = unfiltered_precheck(lp)
+    assert {f"h(0*e{i}) != 0" for i in range(1, N + 1)} <= set(want)
+    assert SymbolicLoop(lp)._power_precheck() == want
+
+
+@given(st.sampled_from("xyzt"))
+def test_generic_elements_are_built_once_and_never_change(block):
+    first = generic(block)
+    assert first == fresh_generic(block)
+    SymbolicLoop().prove_identity_law()
+    again = generic(block)
+    assert again is first
+    assert again == fresh_generic(block)
+
+
 # -- proof reports on many tables -------------------------------------------------
 
 def edit_table(text, blocks, rng):
@@ -200,24 +327,31 @@ def table_loops():
 
 def report_fields(report):
     witness = report.witness.as_json() if report.witness else None
-    return (report.proved, report.nonzero_coords, report.telemetry, witness)
+    return (report.proved, report.nonzero_coords, report.telemetry,
+            report.details, witness)
 
 
 def test_proof_reports_match_the_oracle_substitution(monkeypatch):
     refuted = failed_prechecks = 0
     oracle_calls = 0
 
-    def counted_oracle(self, env, addend=None):
-        nonlocal oracle_calls
-        oracle_calls += 1
-        return oracle_substitute(self, env, addend)
+    def counted(fn):
+        def call(*args):
+            nonlocal oracle_calls
+            oracle_calls += 1
+            return fn(*args)
+        return call
 
     for label, lp in table_loops():
         sym = SymbolicLoop(lp)
         new = [getattr(sym, "prove_" + c)() for c in CLAIMS]
         oracle_calls = 0
         with monkeypatch.context() as m:
-            m.setattr(Poly, "substitute", counted_oracle)
+            # the reference product, with no skip and no cached generics
+            m.setattr(Poly, "substitute", counted(oracle_substitute))
+            m.setattr(SymbolicLoop, "mul", counted(reference_mul))
+            m.setattr(SymbolicLoop, "inv", counted(reference_inv))
+            m.setattr(symbolic, "generic", fresh_generic)
             old = [getattr(sym, "prove_" + c)() for c in CLAIMS]
         # the old reports came through the oracle, not the code under test
         assert oracle_calls > 0, label

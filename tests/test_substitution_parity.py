@@ -198,15 +198,15 @@ def random_table(name, blocks):
         name, blocks, tuple(c.get(k, Poly.zero()) for k in range(1, N + 1))))
 
 
-# heads are zero, one term or longer; their variables are outside the tables'
-HEAD_VALUES = st.one_of(
+# coordinates are zero, one term or longer, in variables no table reads
+COORD_VALUES = st.one_of(
     st.just(Poly.zero()),
     polys_over(ZT + (Var("z", 1),), max_terms=1),
     polys_over(ZT + (Var("z", 1), Var("t", 2)), max_terms=3))
 
 
 def symbolic_elements(count):
-    return st.tuples(*(st.tuples(*(HEAD_VALUES,) * N),) * count)
+    return st.tuples(*(st.tuples(*(COORD_VALUES,) * N),) * count)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,14 +5,14 @@ Also the pure-Python scalar kernel and the table of swept laws.
 `LoopKernel` evaluates one product, inverse or draw at a time; it is the
 reference that `moufang3.kernel`'s bit-sliced sweeps are tested against.
 Its product and inverse run in two tiers.  A kernel interprets its flat
-terms for its first PROMOTE_AT calls of `mul` and `inv` together, so
-building one, a short process and a table variant checked a few times
-compile nothing.  At call PROMOTE_AT it compiles its whole table into one
-`mul` and one `inv` (`_source`) and binds them on the instance, where every
-later call finds them with no dispatch or count; a caller that bound the
-method before then goes on interpreting, with the same results, and a copy
-is rebuilt from the terms (`__reduce__`) and starts interpreted.  Each
-generated function unpacks its arguments into locals x0.., y0.. and
+terms (`term_sums`) for its first PROMOTE_AT calls of `mul` and `inv`
+together, so building one, a short process and a table variant checked a
+few times compile nothing.  At call PROMOTE_AT it compiles its whole table
+into one `mul` and one `inv` (`_source`) and binds them on the instance,
+where every later call finds them with no dispatch or count; a caller that
+bound the method before then goes on interpreting, with the same results,
+and a copy is rebuilt from the terms (`__reduce__`) and starts interpreted.
+Each generated function unpacks its arguments into locals x0.., y0.. and
 returns one sum mod 3 per coordinate, `(x4 + y4 + 2*x1*y0) % 3` or
 `(-x4 + 2*x0*x1) % 3`, with a code c below HEAD read as x<c> and any other
 as y<c - HEAD>.  Terms that share a leading factor are summed inside it,
@@ -21,11 +21,11 @@ summands, so a coordinate of thousands of terms compiles on every Python.
 The source is written only from the exact ints `flat_terms` makes with
 `operator.index`, each formatted by %d, so no table text and no `__str__`
 or `__format__` of an int subclass reaches `compile`.  On the shipped
-tables (2-CPU host, Python 3.11.7) a product takes 11-12 us interpreted
-and 2.2-2.3 us compiled, an inverse 5.0-5.3 and 1.1-1.2 us, and compiling
-both takes 0.7-1.3 ms: the break-even is 80-150 calls, and PROMOTE_AT sits
-above it so that a 20-sample `density` (180 calls) and every `audit`
-variant interpret.
+tables (2-CPU host, Python 3.11.7) a product takes 12-13 us interpreted
+and 2.2-2.6 us compiled, an inverse 6.0-6.6 and 1.1-1.3 us, and compiling
+both takes 0.6-1.3 ms: the break-even is 60-140 products, or about twice
+as many inverses, and PROMOTE_AT sits above it so that a 20-sample
+`density` (180 calls) and every `audit` variant interpret.
 Its one per-trial primitive is `verdicts`, an endless stream of a law's
 outcomes trial by trial; `sweep` is the fold of its first `trials` items.
 It trusts its inputs: elements are N-tuples of GF(3) residues, checked
@@ -36,9 +36,10 @@ over an ops object that provides `mul`, `inv`, `add` and `identity`: a
 `symbolic.SymbolicLoop.prove_law` polynomial coordinates; `Law.place`
 puts a trial's draw into the ops' `identity` for all three.  `IDENTITY_LAW`,
 beside `LAWS`, is a `Law` proved but not swept.  `flat_terms` builds the
-one flat format of a polynomial system that both interpreters of the tables
-read, this scalar kernel and `kernel`'s bit planes, where `PolyEvaluator`
-evaluates and counts such systems.
+one flat format of a polynomial system, and each representation has one
+reader of it: `term_sums` for scalars, read by this kernel's first tier and
+by `kernel.PolyEvaluator.eval_at`; `kernel._poly` for bit planes; and
+`_source` for compiled code.
 """
 
 from __future__ import annotations
@@ -175,6 +176,24 @@ def flat_terms(flat, n, prefix=""):
     return out
 
 
+def term_sums(system, v):
+    """Each polynomial of the flat `system` (see `flat_terms`) at the point
+    `v`, unreduced: the sum of its terms, each its coefficient times the
+    values at its codes, a product left as soon as it is zero."""
+    out = []
+    for terms in system:
+        acc = 0
+        for coeff, codes in terms:
+            p = coeff
+            for c in codes:
+                p *= v[c]
+                if not p:
+                    break
+            acc += p
+        out.append(acc)
+    return out
+
+
 PROMOTE_AT = 200   # calls of mul and inv a kernel interprets (see above)
 SUM_WIDTH = 64     # summands in one parenthesised group of a generated sum
 
@@ -275,37 +294,15 @@ class LoopKernel:
         self._calls += 1
         if self._calls == PROMOTE_AT:
             self._promote()
-        v = x[:HEAD] + y[:HEAD]
-        out = []
-        for k in range(N):
-            acc = x[k] + y[k]
-            for coeff, codes in self._f[k]:
-                p = coeff
-                for c in codes:
-                    p *= v[c]
-                    if not p:
-                        break
-                acc += p
-            out.append(acc % 3)
-        return tuple(out)
+        return tuple([(a + b + t) % 3 for a, b, t
+                      in zip(x, y, term_sums(self._f, x[:HEAD] + y[:HEAD]))])
 
     def inv(self, x):
         """Raw inverse -x + h(x); `loop.Loop.inverse` self-checks it."""
         self._calls += 1
         if self._calls == PROMOTE_AT:
             self._promote()
-        out = []
-        for k in range(N):
-            acc = 3 - x[k]
-            for coeff, codes in self._h[k]:
-                p = coeff
-                for c in codes:
-                    p *= x[c]
-                    if not p:
-                        break
-                acc += p
-            out.append(acc % 3)
-        return tuple(out)
+        return tuple([(t - a) % 3 for a, t in zip(x, term_sums(self._h, x))])
 
     # -- deterministic randomness ------------------------------------------
 

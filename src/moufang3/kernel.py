@@ -55,8 +55,9 @@ Arithmetic: a column of trits, one per lane, is two bit-plane ints
 and `sg` when it is 2.  GF(3) addition costs six big-int operations and
 multiplication three, so one product of the loop evaluates the flattened
 f table for every lane at once, read in the one flat format that the
-scalar kernel reads too (`_native.flat_terms`).  Laws of the same `draws`
-share their planes and their products of two drawn elements.
+scalar kernel reads too (`_native.flat_terms`): `_poly` is its one reader
+on bit planes, as `_native.term_sums` is at one point.  Laws of the same
+`draws` share their planes and their products of two drawn elements.
 
 Counting: `PolyEvaluator.count_all_zero` evaluates a system of flattened
 polynomials in at most HEAD variables, one lane per point of F_3^n (a head),
@@ -73,7 +74,7 @@ from struct import pack
 
 from . import _native
 from ._native import (HEAD, LAWS, N, RNG_MULTIPLIER, _check_sweep, _trits,
-                      flat_terms)
+                      flat_terms, term_sums)
 
 BACKEND = "pure"
 
@@ -197,8 +198,8 @@ def _point_planes(n):
 
 class PolyEvaluator:
     """Evaluator of flattened polynomials (see polys.flatten_polys) in
-    `nvars` variables: one point at a time, or, in at most HEAD
-    variables, all 3^nvars at once on bit planes."""
+    `nvars` variables: one point at a time (`_native.term_sums`), or, in
+    at most HEAD variables, all 3^nvars at once on bit planes."""
 
     def __init__(self, flat, nvars):
         self._polys = flat_terms(flat, nvars)
@@ -207,18 +208,7 @@ class PolyEvaluator:
     def eval_at(self, point):
         if len(point) != self.nvars:
             raise ValueError(f"point must have {self.nvars} coordinates")
-        out = []
-        for terms in self._polys:
-            acc = 0
-            for coeff, codes in terms:
-                p = coeff
-                for c in codes:
-                    p *= point[c]
-                    if not p:
-                        break
-                acc += p
-            out.append(acc % 3)
-        return tuple(out)
+        return tuple([s % 3 for s in term_sums(self._polys, point)])
 
     def count_all_zero(self):
         """Count points of F_3^nvars where every polynomial vanishes.

@@ -65,9 +65,10 @@ def closure(loop: Loop, generators, cap: int = 10_000_000) -> ClosureResult:
     """Smallest subset containing the generators and the identity, closed
     under mul and inverse, by worklist saturation.
 
-    Stops (truncated=True) as soon as the set would exceed `cap`.  For
-    results up to RECHECK_LIMIT elements the closure is re-verified post
-    hoc with the full double loop of is_closed.
+    Stops (truncated=True) at the first added element that makes the set
+    exceed `cap`, so a truncated result holds exactly cap + 1 elements.
+    For results up to RECHECK_LIMIT elements the closure is re-verified
+    post hoc with the full double loop of is_closed.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -77,25 +78,18 @@ def closure(loop: Loop, generators, cap: int = 10_000_000) -> ClosureResult:
     work = []
 
     def add(e):
+        """Add e; True once the set exceeds cap."""
         if e not in members:
             members[e] = None
             work.append(e)
+        return len(members) > cap
 
-    for g in gens:
-        add(g)
-    truncated = False
+    truncated = any(map(add, gens))
     while work and not truncated:
         u = work.pop()
-        add(loop.inverse(u))
-        if len(members) > cap:
-            truncated = True
-            break
-        for v in list(members):
-            for p in (loop.mul(u, v), loop.mul(v, u)):
-                add(p)
-            if len(members) > cap:
-                truncated = True
-                break
+        truncated = add(loop.inverse(u)) or any(
+            add(p) for v in list(members)
+            for p in (loop.mul(u, v), loop.mul(v, u)))
 
     closed: bool | None
     if truncated:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import NamedTuple
 
-from ._native import LAWS, SWEEP_NAMES, _check_sweep
+from ._native import LAWS, SWEEP_NAMES, _check_sweep, sweep_law
 from .loop import Loop, default_loop
 
 __all__ = ["SWEEP_NAMES", "SharedSweeps", "SweepResult", "run_sweep",
@@ -58,7 +58,9 @@ class SharedSweeps:
         self._results: dict | None = None
 
     def result(self, name: str) -> tuple:
-        """(violations, first failing trial, witness) of one sweep."""
+        """(violations, first failing trial, witness) of one sweep; an
+        unknown name is refused before the pass runs."""
+        sweep_law(name)
         if self._results is None:
             t0 = perf_counter()
             self._results = self.loop._kernel.sweep_many(

@@ -52,6 +52,19 @@ CONSTANT = ("tests/test_substitution_parity.py::"
 CONSTANT_PRECHECK = ("tests/test_substitution_parity.py::"
                      "test_a_constant_monomial_fails_the_precheck_at_every_index")
 SUB = "tests/test_polys.py::test_sub_subtracts_each_coefficient"
+CONSISTENCY = "tests/test_symbolic.py::test_consistency_sweep_small"
+BAD_CODES = ("tests/test_batch_parity.py::"
+             "test_zero_terms_with_bad_codes_are_refused")
+RESIDUES = ("tests/test_batch_parity.py::"
+            "test_unreduced_coefficients_read_as_their_residues")
+COMMENTS = "tests/test_tables.py::test_parse_table_accepts_comments_and_blanks"
+SPELLINGS = ("tests/test_tables.py::"
+             "test_parse_table_reads_other_spellings_of_a_factor")
+SQUARED = "tests/test_tables.py::test_rejects_squared_factor"
+BAD_LINES = "tests/test_tables.py::test_parse_table_rejects_bad_lines"
+DEGREE = "tests/test_tables.py::test_rejects_high_degree"
+STATS = ("tests/test_table_parity.py::"
+         "test_shipped_tables_validate_as_the_oracle")
 
 
 class Mutant(NamedTuple):
@@ -67,6 +80,7 @@ KERNEL = "src/moufang3/kernel.py"
 NATIVE = "src/moufang3/_native.py"
 SYMBOLIC = "src/moufang3/symbolic.py"
 POLYS = "src/moufang3/polys.py"
+TABLES = "src/moufang3/tables.py"
 
 MUTANTS = [
     Mutant("kernel-1", "a head offset is allowed at index HEAD, coordinate 11",
@@ -139,6 +153,9 @@ MUTANTS = [
     Mutant("kernel-22", "a kernel never promotes", NATIVE,
            '        self.mul, self.inv = space["mul"], space["inv"]\n', "",
            (PROMOTE,)),
+    Mutant("kernel-23", "term_sums drops each term's coefficient", NATIVE,
+           "            p = coeff\n", "            p = 1\n",
+           (FIXED, CONSISTENCY)),
     Mutant("symbolic-1", "a coordinate is skipped when any one monomial reads "
            "a zero head", SYMBOLIC,
            "if not all(map(dead.__and__, reads))",
@@ -153,6 +170,38 @@ MUTANTS = [
            "fails", SYMBOLIC,
            "if mask else range(1, N + 1))", "if mask else ())",
            (CONSTANT_PRECHECK,)),
+    Mutant("tables-1", "parse_table drops each line's coefficient", TABLES,
+           "terms_by_coord[coord - 1].append((coeff, key))",
+           "terms_by_coord[coord - 1].append((1, key))", (COMMENTS,)),
+    Mutant("tables-2", "validate_table has no squared-factor mask", TABLES,
+           "_tokens(tuple(table.blocks)).values(), 0) | LOW << 1",
+           "_tokens(tuple(table.blocks)).values(), 0)", (SQUARED,)),
+    Mutant("tables-3", "the repeat test counts distinct factor texts", TABLES,
+           "if key.bit_count() != len(factors):",
+           "if key.bit_count() != len(set(factors)):", (BAD_LINES,)),
+    Mutant("tables-4", "the degree test lets degree 5 through", TABLES,
+           "if reads & bad or deg > MAX_DEGREE:",
+           "if reads & bad or deg > MAX_DEGREE + 1:", (DEGREE,)),
+    Mutant("tables-5", "the support keeps the indices read by an odd number "
+           "of coordinates", TABLES,
+           "support |= reads", "support ^= reads", (STATS,)),
+    Mutant("tables-6", "the last coordinate's degree is taken as the "
+           "maximum", TABLES,
+           "max_deg = max(max_deg, deg)", "max_deg = deg", (STATS,)),
+    Mutant("tables-7", "another spelling of a factor gets a zero bit", TABLES,
+           "                bit = field_bit(*v)\n",
+           "                bit = 0\n", (SPELLINGS,)),
+    Mutant("flat-1", "flat_terms drops zero terms before the code check",
+           NATIVE,
+           "for _, codes in terms for c in codes)",
+           "for coeff, codes in terms if coeff % 3 for c in codes)",
+           (BAD_CODES,)),
+    Mutant("flat-2", "flat_terms keeps coefficients unreduced", NATIVE,
+           "tuple((coeff % 3, codes) for", "tuple((coeff, codes) for",
+           (RESIDUES,)),
+    Mutant("flat-3", "flat_terms reduces but keeps zero terms", NATIVE,
+           "for coeff, codes in terms\n" + " " * 25 + "if coeff % 3))",
+           "for coeff, codes in terms))", (RESIDUES,)),
 ]
 
 

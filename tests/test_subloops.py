@@ -51,6 +51,26 @@ def test_closure_truncates_at_cap(loop):
     assert result.order > 5
 
 
+@pytest.mark.parametrize("gens,cap", [((1,), 1), ((1, 2, 3), 1),
+                                      ((3, 4), 1), ((3, 4), 4), ((3, 4), 7),
+                                      ((3, 4), 26)],
+                         ids=["e1-1", "e1e2e3-1", "e3e4-1", "e3e4-4",
+                              "e3e4-7", "e3e4-26"])
+def test_a_truncated_closure_holds_cap_plus_one_elements(loop, gens, cap):
+    result = closure(loop, [e(i) for i in gens], cap=cap)
+    assert result.truncated and result.closed is None
+    assert result.order == cap + 1
+    # the same saturation order: a higher cap only adds later elements
+    wider = closure(loop, [e(i) for i in gens], cap=cap + 5)
+    assert result.elements <= wider.elements
+
+
+def test_a_closure_of_exactly_cap_elements_is_not_truncated(loop):
+    result = closure(loop, [e(3), e(4)], cap=27)
+    assert not result.truncated and result.closed is True
+    assert result.order == 27
+
+
 def test_closure_rejects_bad_cap(loop):
     with pytest.raises(ValueError):
         closure(loop, [e(1)], cap=0)

@@ -2,10 +2,11 @@
 filtered power precheck against straightforward reference versions kept
 here.
 
-`oracle_substitute` is the Poly-object substitution (one Poly temporary per
-factor, multiplied in monomial order) and `oracle_mono_mul` the plain sorted
-merge; neither shares code with the packed-key arithmetic of
-`polys._mul_terms`.  `reference_mul` and `reference_inv` are the symbolic
+`oracle_substitute` is the tuple-monomial substitution (each env value
+decoded once through `terms()`, each monomial's factors multiplied in
+monomial order as dicts, one Poly built at the end) and `oracle_mono_mul`
+the plain sorted merge; neither shares code with the packed-key arithmetic
+of `polys._mul_terms`.  `reference_mul` and `reference_inv` are the symbolic
 product and inverse without the dead-coordinate skip: every nonzero f_k and
 h_k goes through `oracle_substitute`.  `unfiltered_precheck` checks f and h
 on the aligned multiples of every basis vector.  The proof reports are
@@ -53,28 +54,40 @@ def oracle_mono_mul(m1, m2):
     return tuple(out + list(m1[i:]) + list(m2[j:]))
 
 
-def oracle_mul(p, q):
+def oracle_terms_mul(p, q):
+    """The product of two {tuple monomial: coefficient} dicts, zero
+    coefficients kept."""
     acc = {}
-    for m1, c1 in p.terms():
-        for m2, c2 in q.terms():
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
             mono = oracle_mono_mul(m1, m2)
             acc[mono] = (acc.get(mono, 0) + c1 * c2) % 3
-    return Poly(acc)
+    return acc
+
+
+def oracle_mul(p, q):
+    return Poly(oracle_terms_mul(dict(p.terms()), dict(q.terms())))
 
 
 def oracle_substitute(self, env, addend=None):
-    acc = Poly.zero() if addend is None else addend
+    """Each monomial's product of the decoded env values, multiplied in
+    monomial order as tuple-monomial dicts; one Poly at the end."""
+    decoded = {}
+    acc = {} if addend is None else dict(addend.terms())
     for mono, coeff in self.terms():
-        prod = Poly.constant(coeff)
+        prod = {(): coeff}
         for v, exp in mono:
-            try:
-                q = env[v]
-            except KeyError:
-                raise UnboundVariable(f"no substitution for {v}") from None
+            if v not in decoded:
+                try:
+                    q = env[v]
+                except KeyError:
+                    raise UnboundVariable(f"no substitution for {v}") from None
+                decoded[v] = dict(q.terms())
             for _ in range(exp):
-                prod = oracle_mul(prod, q)
-        acc = acc + prod
-    return acc
+                prod = oracle_terms_mul(prod, decoded[v])
+        for m, c in prod.items():
+            acc[m] = (acc.get(m, 0) + c) % 3
+    return Poly(acc)
 
 
 XY_HEAD = tuple(Var(b, i) for b in "xy" for i in range(1, HEAD + 1))

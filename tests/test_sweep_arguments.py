@@ -33,6 +33,10 @@ TARGETS = {
     "sweeps.run_sweep": (lambda names, seed, trials:
                          sweeps.run_sweep(None, *names, seed, trials),
                          False, True),
+    "sweeps.SharedSweeps.result": (lambda names, seed, trials:
+                                   sweeps.SharedSweeps(None, seed, trials)
+                                   .result(*names),
+                                   False, True),
 }
 
 # case -> (names, seed, trials, message); 42 and 10 are good values
